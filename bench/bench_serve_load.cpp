@@ -8,11 +8,12 @@
 //
 // Default: 1000 concurrent clients x 2 requests each against an
 // in-process daemon on a unix socket, every request the same warm-cache
-// query (`run stream --resolve-cache shared --json`) so the
-// process-lifetime shared ResolveCache demonstrates its point: the gate
-// requires a warm hit rate above 80%.  --quick drops to 128 clients for
-// smoke use.  Latency percentiles (p50/p99) and saturation throughput
-// are recorded; throughput is gated per calibration unit.
+// query (`run stream --mode cached-nvm --resolve-cache shared --json`) so
+// the process-lifetime shared stream memo demonstrates its point: the
+// gate requires a warm stream-memo hit rate above 80%.  --quick drops to
+// 128 clients for smoke use.  Latency percentiles (p50/p99) and
+// saturation throughput are recorded; throughput is gated per
+// calibration unit.
 //
 // Parity flags (required unconditionally by the compare gate):
 //   responses_match_cli        daemon "out" bytes == one-shot CLI stdout
@@ -229,11 +230,13 @@ struct LoadResult {
 
 LoadResult run_load(const std::string& socket_path, int clients,
                     int requests_per_client) {
-  // The warm-cache query every synthetic client repeats.  Each client
+  // The warm-cache query every synthetic client repeats: Memory mode, so
+  // its DRAM-cache walks go through the shared stream memo.  Each client
   // carries its own id so the budget/stats side sees distinct tenants.
   const std::string query_prefix =
       R"({"cmd":"run","target":"stream","args":{"scale":0.25,"threads":12,)"
-      R"("resolve-cache":"shared","json":true},"client":"c)";
+      R"("mode":"cached-nvm","resolve-cache":"shared","json":true},)"
+      R"("client":"c)";
   LoadResult result;
   std::vector<std::thread> threads;
   std::vector<std::vector<double>> lat(static_cast<std::size_t>(clients));
@@ -352,7 +355,7 @@ int main(int argc, char** argv) {
   const LoadResult load =
       run_load(cfg.socket_path, clients, requests_per_client);
 
-  // Warm shared-cache hit rate, straight from the daemon's stats view.
+  // Warm stream-memo hit rate, straight from the daemon's stats view.
   double warm_hit_rate = 0.0;
   {
     Client c(cfg.socket_path);
@@ -360,7 +363,7 @@ int main(int argc, char** argv) {
     if (c.ok() && c.send_line(R"({"cmd":"stats"})") && c.recv_line(&resp)) {
       const auto inner = json_parse(field_of(resp, "out"));
       if (inner.value) {
-        if (const JsonValue* rc = inner.value->find("resolve_cache")) {
+        if (const JsonValue* rc = inner.value->find("stream_memo")) {
           if (const JsonValue* hr = rc->find("hit_rate")) {
             warm_hit_rate = hr->as_number();
           }

@@ -49,8 +49,9 @@ commands:
       --json                emit the result as JSON
       --trace-out FILE      write a Chrome trace (chrome://tracing, Perfetto)
       --metrics-out FILE    write per-epoch metric streams as CSV
-      --resolve-cache[=off|run|shared]   memoize phase resolutions
-                            (results are byte-identical; default off)
+      --resolve-cache[=off|shared]   memoize DRAM-cache walks in the
+                            daemon's process-lifetime cache (a one-shot
+                            run attaches none; output byte-identical)
       --intra-jobs auto|N   worker lanes inside this run's epoch kernel
                             (default 1; auto = whole machine; output is
                             byte-identical for any width)
@@ -66,8 +67,8 @@ commands:
       --trace-out FILE      merged Chrome trace over the whole grid
       --metrics-out FILE    merged per-epoch metrics CSV over the grid
       --jsonl FILE          merged JSONL telemetry over the grid
-      --resolve-cache[=off|run|shared]   memoize phase resolutions
-                            (shared: one cache for the grid; rows and
+      --resolve-cache[=off|shared]   memoize DRAM-cache walks across
+                            the grid's cells (default off; rows and
                             exports are byte-identical either way)
       --intra-jobs auto|N   worker lanes inside each cell's epoch kernel
                             (default 1; auto splits the lane budget over
@@ -80,13 +81,13 @@ commands:
       --mode M --threads N --scale S
       --jobs N              (app form; output byte-identical for any N)
       --intra-jobs auto|N   (output byte-identical for any width)
-      --resolve-cache[=off|run|shared]   (output byte-identical either way)
+      --resolve-cache[=off|shared]   (output byte-identical either way)
       --format human|json|csv            (default human)
       --metrics-out FILE    analyze.* gauges as Prometheus exposition text
   diff <a> <b>              explain what changed between two runs/traces
       --mode M --threads N --scale S --jobs N --intra-jobs auto|N
       --mode-a M --mode-b M per-side mode override (compare modes)
-      --resolve-cache[=off|run|shared]
+      --resolve-cache[=off|shared]
       --format human|json                (default human)
       --metrics-out FILE    diff.* gauges as Prometheus exposition text
   profile <app>             data-centric profile + write-aware plan
@@ -139,7 +140,7 @@ bool write_file(const std::string& path, const std::string& content,
   return true;
 }
 
-// Parse --resolve-cache[=off|run|shared]; a bare flag means "shared".
+// Parse --resolve-cache[=off|shared]; a bare flag means "shared".
 // Reports and returns nullopt on unknown values.
 std::optional<ResolveCacheMode> cache_mode_from(const Options& opt,
                                                 std::ostream& err,
@@ -148,7 +149,7 @@ std::optional<ResolveCacheMode> cache_mode_from(const Options& opt,
   const auto mode = parse_resolve_cache_mode(v == "true" ? "shared" : v);
   if (!mode) {
     err << cmd << ": unknown --resolve-cache mode '" << v
-        << "' (want off|run|shared)\n";
+        << "' (want off|shared)\n";
   }
   return mode;
 }
@@ -156,9 +157,15 @@ std::optional<ResolveCacheMode> cache_mode_from(const Options& opt,
 // Parse --intra-jobs [auto|N]: worker lanes inside one simulator run's
 // epoch kernel (SystemConfig::intra_jobs).  "auto" (or a bare flag) maps
 // to 0 — the executor/daemon splits the process-wide lane budget over
-// the active jobs.  Output bytes never depend on the width.
+// the active jobs.  Without the option, a frontend's lane grant
+// (CommandContext::intra_jobs) applies, else 1.  Output bytes never
+// depend on the width.
 std::optional<int> intra_jobs_from(const Options& opt, std::ostream& err,
-                                   const char* cmd) {
+                                   const char* cmd,
+                                   const CommandContext* ctx) {
+  if (!opt.has("intra-jobs") && ctx != nullptr && ctx->intra_jobs > 0) {
+    return ctx->intra_jobs;
+  }
   const std::string v = opt.get("intra-jobs", "1");
   if (v == "auto" || v == "true") return 0;
   const auto n = parse_long(v);
@@ -183,14 +190,18 @@ void report_cache_line(const char* what, const ResolveCacheStats& s,
   err << buf << "\n";
 }
 
-void report_cache_stats(const ResolveCacheStats& phases,
-                        const ResolveCacheStats& streams,
-                        std::ostream& err) {
-  report_cache_line("resolve-cache", phases, err);
-  // The stream memo only sees Memory-mode cells; stay quiet otherwise.
-  if (streams.hits + streams.misses > 0) {
-    report_cache_line("stream-memo", streams, err);
-  }
+// The stream memo only sees Memory-mode cells; stay quiet otherwise.
+void report_stream_memo(const ResolveCacheStats& s, std::ostream& err) {
+  if (s.hits + s.misses > 0) report_cache_line("stream-memo", s, err);
+}
+
+// The cache a run attaches under `mode`: only a frontend's process-lifetime
+// cache, because a lone run can never hit its own stream-memo inserts
+// (memsim/resolve_cache.hpp).
+ResolveCache* run_cache(ResolveCacheMode mode, const CommandContext* ctx) {
+  return mode == ResolveCacheMode::kShared && ctx != nullptr
+             ? ctx->shared_cache
+             : nullptr;
 }
 
 AppConfig config_from(const Options& opt) {
@@ -276,7 +287,7 @@ int cmd_run(const Options& opt, std::ostream& out, std::ostream& err,
     }
   }
   const AppConfig cfg = config_from(opt);
-  const auto intra = intra_jobs_from(opt, err, "run");
+  const auto intra = intra_jobs_from(opt, err, "run", ctx);
   if (!intra) return 2;
   sys_cfg.intra_jobs = *intra == 0 ? resolve_auto_intra_jobs(1) : *intra;
   const auto cache_mode = cache_mode_from(opt, err, "run");
@@ -285,30 +296,10 @@ int cmd_run(const Options& opt, std::ostream& out, std::ostream& err,
   const std::string metrics_out = opt.get("metrics-out", "");
   Telemetry telemetry;
   const bool want_telemetry = !trace_out.empty() || !metrics_out.empty();
-  // A single one-shot run has nothing to share across: both non-off modes
-  // are one private cache reused across the run's phases.  Under a
-  // daemon, shared mode instead borrows the process-lifetime cache so the
-  // next request over the same app starts warm.
-  std::optional<ResolveCache> cache;
-  ResolveCache* use_cache = nullptr;
-  if (*cache_mode == ResolveCacheMode::kShared && ctx != nullptr &&
-      ctx->shared_cache != nullptr) {
-    use_cache = ctx->shared_cache;
-  } else if (*cache_mode != ResolveCacheMode::kOff) {
-    cache.emplace(/*shards=*/1);
-    // One-shot private cache: stream-memo keys chain a monotonic history
-    // digest, so this run can never hit its own stream inserts — skip
-    // them (the phase memo keeps inserting; its keys recur across
-    // epochs).  The daemon's shared cache above is exempt: an identical
-    // later request replays the same digest trajectory and hits.
-    cache->streams().set_insert_bypass(true);
-    use_cache = &*cache;
-  }
+  ResolveCache* cache = run_cache(*cache_mode, ctx);
   const AppResult r = run_app_on(
-      app, sys_cfg, cfg, want_telemetry ? &telemetry : nullptr, use_cache);
-  if (use_cache != nullptr) {
-    report_cache_stats(use_cache->stats(), use_cache->stream_stats(), err);
-  }
+      app, sys_cfg, cfg, want_telemetry ? &telemetry : nullptr, cache);
+  if (cache != nullptr) report_stream_memo(cache->stats(), err);
 
   if (!trace_out.empty() &&
       !write_file(trace_out, chrome_trace_json(telemetry, app), err, "run")) {
@@ -408,24 +399,20 @@ int cmd_sweep(const Options& opt, std::ostream& out, std::ostream& err,
   spec.threads = *threads;
   spec.scales = {opt.get_double("scale", 1.0)};
   spec.jobs = static_cast<int>(opt.get_int_at_least("jobs", 0, 0));
-  const auto intra = intra_jobs_from(opt, err, "sweep");
+  const auto intra = intra_jobs_from(opt, err, "sweep", ctx);
   if (!intra) return 2;
   spec.intra_jobs = *intra;
   const auto cache_mode = cache_mode_from(opt, err, "sweep");
   if (!cache_mode) return 2;
   spec.resolve_cache = *cache_mode;
-  if (*cache_mode == ResolveCacheMode::kShared && ctx != nullptr) {
-    spec.external_cache = ctx->shared_cache;
-  }
+  spec.external_cache = run_cache(*cache_mode, ctx);
   const std::string trace_out = opt.get("trace-out", "");
   const std::string metrics_out = opt.get("metrics-out", "");
   const std::string jsonl_out = opt.get("jsonl", "");
   spec.telemetry =
       !trace_out.empty() || !metrics_out.empty() || !jsonl_out.empty();
   const auto result = run_sweep(spec);
-  if (spec.resolve_cache != ResolveCacheMode::kOff) {
-    report_cache_stats(result.cache_stats, result.stream_stats, err);
-  }
+  report_stream_memo(result.cache_stats, err);
 
   if (!trace_out.empty() &&
       !write_file(trace_out, sweep_chrome_trace(result), err, "sweep")) {
@@ -758,7 +745,7 @@ std::optional<RunProfile> profile_of_target(const std::string& target,
   }
   const auto cache_mode = cache_mode_from(opt, err, cmd);
   if (!cache_mode) return std::nullopt;
-  const auto intra = intra_jobs_from(opt, err, cmd);
+  const auto intra = intra_jobs_from(opt, err, cmd, ctx);
   if (!intra) return std::nullopt;
 
   std::ifstream f(target);
@@ -771,17 +758,7 @@ std::optional<RunProfile> profile_of_target(const std::string& target,
     MemorySystem sys(sys_cfg);
     Telemetry telemetry;
     sys.set_telemetry(&telemetry);
-    std::optional<ResolveCache> cache;
-    if (*cache_mode == ResolveCacheMode::kShared && ctx != nullptr &&
-        ctx->shared_cache != nullptr) {
-      sys.set_resolve_cache(ctx->shared_cache);
-    } else if (*cache_mode != ResolveCacheMode::kOff) {
-      cache.emplace(/*shards=*/1);
-      // Single replay, private cache: stream inserts cannot recur (see
-      // cmd_run) — skip them.
-      cache->streams().set_insert_bypass(true);
-      sys.set_resolve_cache(&*cache);
-    }
+    sys.set_resolve_cache(run_cache(*cache_mode, ctx));
     (void)rec.replay(sys);
     return build_run_profile(telemetry, analyze_context(sys_cfg, target));
   }
@@ -800,9 +777,7 @@ std::optional<RunProfile> profile_of_target(const std::string& target,
   spec.intra_jobs = *intra;
   spec.telemetry = true;
   spec.resolve_cache = *cache_mode;
-  if (*cache_mode == ResolveCacheMode::kShared && ctx != nullptr) {
-    spec.external_cache = ctx->shared_cache;
-  }
+  spec.external_cache = run_cache(*cache_mode, ctx);
   const auto result = run_sweep(spec);
   if (result.rows.empty()) {
     err << cmd << ": configuration skipped"
@@ -884,7 +859,8 @@ int cmd_diff(const Options& opt, std::ostream& out, std::ostream& err,
   return 0;
 }
 
-int cmd_optimize(const Options& opt, std::ostream& out, std::ostream& err) {
+int cmd_optimize(const Options& opt, std::ostream& out, std::ostream& err,
+                 const CommandContext* ctx) {
   if (opt.positional().empty()) {
     err << "optimize: missing application name or trace file\n";
     return 2;
@@ -896,7 +872,7 @@ int cmd_optimize(const Options& opt, std::ostream& out, std::ostream& err) {
     return 2;
   }
   SystemConfig sys_cfg = SystemConfig::testbed(*mode);
-  const auto intra = intra_jobs_from(opt, err, "optimize");
+  const auto intra = intra_jobs_from(opt, err, "optimize", ctx);
   if (!intra) return 2;
   // 0 (auto) is passed through: each replayed MemorySystem leases
   // whatever lanes are free at construction.  The plan never depends on
@@ -915,8 +891,8 @@ int cmd_optimize(const Options& opt, std::ostream& out, std::ostream& err) {
     const AppConfig cfg = config_from(opt);
     MemorySystem sys(sys_cfg);
     TraceCapture capture(sys);
-    AppContext ctx(sys, cfg);
-    (void)lookup_app(target).run(ctx);
+    AppContext app_ctx(sys, cfg);
+    (void)lookup_app(target).run(app_ctx);
     rec = capture.finish();
   } else {
     err << "optimize: '" << target
@@ -971,10 +947,10 @@ int cmd_optimize(const Options& opt, std::ostream& out, std::ostream& err) {
   // across worker counts, while stdout must stay byte-identical.
   err << "optimize: " << r.stats.evals << " candidate evaluation(s), "
       << r.stats.full_replays << " full replay(s)\n";
-  report_cache_line("phase-cache", r.stats.phase_cache, err);
-  if (r.stats.stream_memo.hits + r.stats.stream_memo.misses > 0) {
-    report_cache_line("stream-memo", r.stats.stream_memo, err);
+  if (r.stats.phase_cache.hits + r.stats.phase_cache.misses > 0) {
+    report_cache_line("phase-cache", r.stats.phase_cache, err);
   }
+  report_stream_memo(r.stats.stream_memo, err);
   return 0;
 }
 
@@ -1005,7 +981,7 @@ int run_command(const std::string& cmd, const Options& opt,
   } else if (cmd == "replay") {
     rc = cmd_replay(opt, out, err);
   } else if (cmd == "optimize") {
-    rc = cmd_optimize(opt, out, err);
+    rc = cmd_optimize(opt, out, err, ctx);
   } else if (cmd == "help" || cmd == "--help") {
     out << kUsage;
     rc = 0;

@@ -27,12 +27,17 @@ class ResolveCache;
 /// run_command.  A null context reproduces the one-shot CLI exactly.
 struct CommandContext {
   /// When non-null and the command asks for --resolve-cache=shared, this
-  /// caller-owned process-lifetime cache is used instead of a
-  /// request-local one, so repeated daemon queries hit warm entries.
-  /// Memoization is semantically transparent: stdout stays byte-identical
-  /// either way; only the stderr cache-statistics lines (cumulative for a
-  /// shared cache) and the wall clock change.
+  /// caller-owned process-lifetime cache is attached, so repeated daemon
+  /// queries replay warm DRAM-cache trajectories.  It is the only cache a
+  /// run or single-cell grid ever attaches (a lone run cannot hit its own
+  /// inserts).  Memoization is semantically transparent: stdout stays
+  /// byte-identical either way; only the stderr stream-memo line
+  /// (cumulative for a shared cache) and the wall clock change.
   ResolveCache* shared_cache = nullptr;
+  /// Epoch-kernel lanes granted to commands that run the simulator and
+  /// did not pick --intra-jobs themselves; 0 = no grant (the CLI default
+  /// of 1 lane).  Output bytes never depend on the width.
+  int intra_jobs = 0;
 };
 
 /// Dispatch one parsed command.  Returns the exit code for handled

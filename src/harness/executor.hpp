@@ -46,14 +46,11 @@ struct ExperimentConfig {
   /// mixes streams; merged exports follow task order and stay
   /// byte-identical for any jobs count.
   bool telemetry = false;
-  /// Borrowed phase-resolution cache attached to the task's MemorySystem
-  /// (null: resolve every phase).  A ResolveCache is mutex-striped, so one
+  /// Borrowed stream memo attached to the task's MemorySystem (null: walk
+  /// every DRAM-cache access).  A ResolveCache is mutex-striped, so one
   /// instance may back every task of a batch; results and telemetry stay
   /// byte-identical regardless (memsim/resolve_cache.hpp).
   ResolveCache* resolve_cache = nullptr;
-  /// Give this task a private single-shard cache instead (reuse across the
-  /// task's own phases only).  Mutually exclusive with `resolve_cache`.
-  bool private_resolve_cache = false;
 };
 
 /// Per-task observability record.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
+#include <optional>
 
 #include "appfw/context.hpp"
 #include "harness/registry.hpp"
@@ -37,19 +37,12 @@ PhaseCorpus harvest_corpus(const std::string& app, Mode mode, int threads) {
 
 ReplayResult replay_corpora(const std::vector<PhaseCorpus>& corpora,
                             int repeat, ResolveCacheMode cache_mode,
-                            int intra_jobs, bool stream_insert_bypass) {
+                            int intra_jobs) {
   ReplayResult r;
+  std::optional<ResolveCache> cache;
+  if (cache_mode == ResolveCacheMode::kShared) cache.emplace(/*shards=*/1);
   const auto t0 = Clock::now();
   for (int rep = 0; rep < repeat; ++rep) {
-    std::unique_ptr<ResolveCache> shared;
-    if (cache_mode == ResolveCacheMode::kShared) {
-      shared = std::make_unique<ResolveCache>(1);
-      if (stream_insert_bypass) {
-        // The fig2 corpora are distinct (app, mode) pairs: even a shared
-        // cache sees no cross-corpus stream hits, so inserts only churn.
-        shared->streams().set_insert_bypass(true);
-      }
-    }
     for (const PhaseCorpus& corpus : corpora) {
       // Fresh system per corpus: registrations replay in order, so base
       // addresses — and with them the DRAM-cache trajectory — match the
@@ -59,14 +52,7 @@ ReplayResult replay_corpora(const std::vector<PhaseCorpus>& corpora,
       cfg.strict_capacity = false;
       cfg.intra_jobs = intra_jobs;
       MemorySystem sys(cfg);
-      std::unique_ptr<ResolveCache> per_run;
-      if (cache_mode == ResolveCacheMode::kPerRun) {
-        per_run = std::make_unique<ResolveCache>(1);
-        if (stream_insert_bypass) per_run->streams().set_insert_bypass(true);
-      }
-      if (cache_mode != ResolveCacheMode::kOff) {
-        sys.set_resolve_cache(per_run ? per_run.get() : shared.get());
-      }
+      if (cache) sys.set_resolve_cache(&*cache);
       for (const auto& reg : corpus.buffers) {
         (void)sys.register_buffer(reg.name, reg.bytes, reg.placement);
       }

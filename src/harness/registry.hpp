@@ -47,8 +47,8 @@ AppResult run_app(const std::string& name, Mode mode, const AppConfig& cfg);
 /// mode field of `sys_cfg` is used as-is).  When `telemetry` is non-null
 /// it is attached to the run's MemorySystem, collecting spans and epoch
 /// metric streams for the whole execution.  When `resolve_cache` is
-/// non-null it memoizes the run's phase resolutions (results and exports
-/// are byte-identical either way; see memsim/resolve_cache.hpp).
+/// non-null it memoizes the run's DRAM-cache stream walks (results and
+/// exports are byte-identical either way; see memsim/resolve_cache.hpp).
 AppResult run_app_on(const std::string& name, SystemConfig sys_cfg,
                      const AppConfig& cfg, Telemetry* telemetry = nullptr,
                      ResolveCache* resolve_cache = nullptr);

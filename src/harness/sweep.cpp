@@ -1,7 +1,6 @@
 #include "harness/sweep.hpp"
 
 #include <cstdio>
-#include <memory>
 #include <optional>
 
 #include "harness/registry.hpp"
@@ -25,39 +24,21 @@ SweepResult run_sweep(const SweepSpec& spec) {
   spec.validate();
   (void)lookup_app(spec.app);  // fail fast on unknown apps
 
-  // Resolve-cache plumbing: one striped instance for the whole grid
-  // (kShared) or one single-shard instance per cell (kPerRun) — the
-  // latter owned here, not inside the executor, so statistics survive the
-  // tasks and can be aggregated into the result.
+  // Stream-memo attach rule (memsim/resolve_cache.hpp): the memo keys
+  // chain a monotonic history digest, so a lone cell can never hit its
+  // own inserts.  A grid-local cache is built only when there are several
+  // cells to share it; an external cache outlives this grid, so a later
+  // identical run can replay the trajectory and it is always attached.
   const std::size_t cells =
       spec.modes.size() * spec.threads.size() * spec.scales.size();
-  std::optional<ResolveCache> shared_cache;
-  ResolveCache* shared = nullptr;
-  std::vector<std::unique_ptr<ResolveCache>> cell_caches;
+  std::optional<ResolveCache> grid_cache;
+  ResolveCache* cache = nullptr;
   if (spec.resolve_cache == ResolveCacheMode::kShared) {
     if (spec.external_cache != nullptr) {
-      shared = spec.external_cache;
-    } else {
-      shared_cache.emplace(
+      cache = spec.external_cache;
+    } else if (cells > 1) {
+      cache = &grid_cache.emplace(
           static_cast<std::size_t>(spec.jobs > 0 ? spec.jobs : 0));
-      shared = &*shared_cache;
-      if (cells == 1) {
-        // Stream-memo keys chain a monotonic history digest, so a lone
-        // cell can never hit its own inserts — skip them (the resolve
-        // memo keeps inserting: its keys recur across epochs).  External
-        // caches are exempt: they outlive this grid and a later identical
-        // run can replay the trajectory.
-        shared->streams().set_insert_bypass(true);
-      }
-    }
-  } else if (spec.resolve_cache == ResolveCacheMode::kPerRun) {
-    cell_caches.reserve(cells);
-    for (std::size_t i = 0; i < cells; ++i) {
-      cell_caches.push_back(std::make_unique<ResolveCache>(/*shards=*/1));
-      // Per-cell caches share nothing across cells, so each cell's stream
-      // trajectory is single-shot by construction (same argument as the
-      // single-cell grid above).
-      cell_caches.back()->streams().set_insert_bypass(true);
     }
   }
 
@@ -76,11 +57,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
         task.cfg.size_scale = scale;
         task.cfg.seed = derive_task_seed(spec.seed, grid.size());
         task.telemetry = spec.telemetry;
-        if (shared != nullptr) {
-          task.resolve_cache = shared;
-        } else if (!cell_caches.empty()) {
-          task.resolve_cache = cell_caches[grid.size()].get();
-        }
+        task.resolve_cache = cache;
         char label[96];
         std::snprintf(label, sizeof label, "%s/%d/%.4g", to_string(mode),
                       threads, scale);
@@ -93,22 +70,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
   SweepResult result;
   const auto outcomes = run_experiments(grid, spec.jobs, &result.stats);
 
-  if (shared != nullptr) {
-    result.cache_stats = shared->stats();
-    result.stream_stats = shared->stream_stats();
-  } else {
-    for (const auto& c : cell_caches) {
-      for (const auto& [into, from] :
-           {std::pair{&result.cache_stats, c->stats()},
-            std::pair{&result.stream_stats, c->stream_stats()}}) {
-        into->hits += from.hits;
-        into->misses += from.misses;
-        into->evictions += from.evictions;
-        into->entries += from.entries;
-        into->bypassed += from.bypassed;
-      }
-    }
-  }
+  if (cache != nullptr) result.cache_stats = cache->stats();
 
   if (spec.telemetry) {
     // Keep grid order (including skipped cells that collected anything

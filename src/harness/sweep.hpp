@@ -39,17 +39,18 @@ struct SweepSpec {
   /// grid cell records into its own Telemetry; the merged exports follow
   /// grid order, so they too are byte-identical for any jobs count.
   bool telemetry = false;
-  /// Phase-resolution memoization for the grid (resolve_cache.hpp):
-  /// kShared gives every cell one striped cache (one shard per worker),
-  /// kPerRun a private cache per cell.  Either way rows and exports are
-  /// byte-identical to kOff — only the wall clock changes.
+  /// DRAM-cache stream memoization for the grid (resolve_cache.hpp):
+  /// kShared gives every cell of a multi-cell grid one striped cache (one
+  /// shard per worker).  A single-cell grid gets none — it could never
+  /// hit its own inserts.  Rows and exports are byte-identical to kOff;
+  /// only the wall clock changes.
   ResolveCacheMode resolve_cache = ResolveCacheMode::kOff;
   /// With kShared, a caller-owned cache to use instead of a grid-local
-  /// one — how nvmsimd keeps one process-lifetime cache warm across
-  /// requests.  Ignored for kOff/kPerRun.  The reported cache statistics
-  /// are then the external cache's cumulative totals, but rows and
-  /// exports remain byte-identical (memoization is semantically
-  /// transparent).  Must outlive run_sweep.
+  /// one, attached at any grid size — how nvmsimd keeps one
+  /// process-lifetime cache warm across requests.  Ignored for kOff.  The
+  /// reported cache statistics are then the external cache's cumulative
+  /// totals, but rows and exports remain byte-identical (memoization is
+  /// semantically transparent).  Must outlive run_sweep.
   ResolveCache* external_cache = nullptr;
 
   void validate() const;
@@ -85,12 +86,9 @@ struct SweepResult {
   /// `telemetry` keep the parts' pointees alive.
   std::vector<std::shared_ptr<Telemetry>> telemetry;
   std::vector<std::string> telemetry_labels;
-  /// Resolve-cache statistics for the grid (all zero when the spec ran
-  /// with ResolveCacheMode::kOff; per-cell caches are aggregated).
+  /// Stream-memo statistics of the attached cache (all zero when none
+  /// was attached; only Memory-mode cells consult it).
   ResolveCacheStats cache_stats;
-  /// DRAM-cache stream-memo statistics (nonzero only for Memory-mode
-  /// cells; the sampler walks dominate those cells' wall clock).
-  ResolveCacheStats stream_stats;
 
   /// Labeled views over `telemetry` for the obs exporters.
   std::vector<TelemetryPart> parts() const;

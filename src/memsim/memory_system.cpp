@@ -389,16 +389,8 @@ PhaseResolution MemorySystem::submit(const Phase& phase) {
                     0,
                 "remote traffic on a single-socket system");
   }
-  if (resolve_cache_ != nullptr) {
-    resolve_cache_->resolve_into(phase, lanes_, config_.cpu, upi_bytes,
-                                 config_.upi_bw, probe, t0v,
-                                 &resolve_scratch_, &key_scratch_,
-                                 &multi_scratch_);
-  } else {
-    resolve_lanes_into(phase, lanes_, config_.cpu, upi_bytes,
-                       config_.upi_bw, probe, t0v, &resolve_scratch_,
-                       &multi_scratch_);
-  }
+  resolve_lanes_into(phase, lanes_, config_.cpu, upi_bytes, config_.upi_bw,
+                     probe, t0v, &resolve_scratch_, &multi_scratch_);
   const MultiResolution& multi = multi_scratch_;
 
   PhaseResolution res;

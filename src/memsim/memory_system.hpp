@@ -177,17 +177,13 @@ class MemorySystem {
   void set_telemetry(Telemetry* telemetry);
   Telemetry* telemetry() const { return telemetry_; }
 
-  /// Attach (or detach with nullptr) a phase-resolution memoization cache
-  /// (memsim/resolve_cache.hpp).  The borrowed cache must outlive the
-  /// attachment; it may be shared across systems/threads (ResolveCache is
-  /// mutex-striped).  Its stream memo is handed to the DRAM cache, so
-  /// Memory-mode sampler walks are memoized too.  Resolutions, outcomes
-  /// and telemetry streams are byte-identical with and without a cache.
-  void set_resolve_cache(ResolveCache* cache) {
-    resolve_cache_ = cache;
-    cache_.set_memo(cache != nullptr ? &cache->streams() : nullptr);
-  }
-  ResolveCache* resolve_cache() const { return resolve_cache_; }
+  /// Attach (or detach with nullptr) the DRAM-cache stream memo
+  /// (memsim/resolve_cache.hpp), so Memory-mode sampler walks already seen
+  /// on an identical trajectory are skipped.  The borrowed cache must
+  /// outlive the attachment; it may be shared across systems/threads
+  /// (ResolveCache is mutex-striped).  Outcomes and telemetry streams are
+  /// byte-identical with and without a cache.
+  void set_resolve_cache(ResolveCache* cache) { cache_.set_memo(cache); }
   /// Tracer index of the span covering the most recent submit();
   /// Tracer::kNone before the first submit or without telemetry.
   std::size_t last_phase_span() const { return last_phase_span_; }
@@ -228,15 +224,14 @@ class MemorySystem {
   /// lane_dem_ holds the four per-lane demands being routed, lanes_ the
   /// LaneDemand views handed to the resolver; access_reqs_/outcomes_ carry
   /// one epoch's batched DRAM-cache accesses (kCachedNvm); the resolver
-  /// runs its SoA fixed point on resolve_scratch_, rebuilds memo keys in
-  /// key_scratch_ and writes resolutions into multi_scratch_ — after the
-  /// first few submits no steady-state allocation remains.
+  /// runs its SoA fixed point on resolve_scratch_ and writes resolutions
+  /// into multi_scratch_ — after the first few submits no steady-state
+  /// allocation remains.
   std::vector<DeviceDemand> lane_dem_;
   std::vector<LaneDemand> lanes_;
   std::vector<CacheAccessRequest> access_reqs_;
   std::vector<CacheOutcome> outcomes_;
   ResolveScratch resolve_scratch_;
-  ResolveKey key_scratch_;
   MultiResolution multi_scratch_;
   /// Intra-run lanes: the lease books our lanes against the process-wide
   /// budget; the context resolves the width and lazily owns the helper
@@ -246,7 +241,6 @@ class MemorySystem {
   IntraLease intra_lease_;
   IntraContext intra_;
   Telemetry* telemetry_ = nullptr;
-  ResolveCache* resolve_cache_ = nullptr;
   std::size_t last_phase_span_ = Tracer::kNone;
   MetricId phase_hist_;       ///< phase.duration_s histogram
   MetricId read_bytes_ctr_;   ///< app.read_bytes counter

@@ -171,7 +171,8 @@ bool use_reference_kernels();
 /// the two never disagree at the boundary.  The result is a pure function
 /// of (per-lane demands, the lane devices, the phase timing fields minus
 /// name/streams, the CPU model, the UPI constraint) — the property the
-/// ResolveCache memoization layer (memsim/resolve_cache.hpp) relies on.
+/// placement evaluator's phase-time memo (placement/replay_evaluator.hpp)
+/// relies on.
 MultiResolution resolve_lanes(const Phase& phase,
                               const std::vector<LaneDemand>& lanes,
                               const CpuParams& cpu, double upi_bytes = 0.0,

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <utility>
-
-#include "simcore/error.hpp"
-#include "simcore/thread_pool.hpp"
 
 namespace nvms {
 
@@ -13,8 +9,6 @@ const char* to_string(ResolveCacheMode m) {
   switch (m) {
     case ResolveCacheMode::kOff:
       return "off";
-    case ResolveCacheMode::kPerRun:
-      return "run";
     case ResolveCacheMode::kShared:
       return "shared";
   }
@@ -24,7 +18,6 @@ const char* to_string(ResolveCacheMode m) {
 std::optional<ResolveCacheMode> parse_resolve_cache_mode(
     const std::string& s) {
   if (s == "off") return ResolveCacheMode::kOff;
-  if (s == "run") return ResolveCacheMode::kPerRun;
   if (s == "shared") return ResolveCacheMode::kShared;
   return std::nullopt;
 }
@@ -40,8 +33,8 @@ void ResolveKey::add_double(double v) {
 namespace {
 
 /// Fold a short label into the key, 8 chars per word.  Labels are
-/// cosmetic for the resolution but replayed into telemetry on a hit, so
-/// differently-labeled lanes must not share an entry.
+/// cosmetic for the resolution but name the telemetry channels, so
+/// differently-labeled lanes do not share an entry.
 void add_label(ResolveKey& key, const char* s) {
   if (s == nullptr) {
     key.add_word(0);
@@ -93,26 +86,6 @@ void add_device(ResolveKey& key, const DeviceParams& dev) {
   add_curve(key, dev.write_scaling);
 }
 
-/// Capture probe: records every epoch sample for the cache entry and
-/// forwards to the real probe (when attached), so a miss both populates
-/// the cache and emits live telemetry in one pass.
-class RecordingProbe final : public EpochProbe {
- public:
-  explicit RecordingProbe(EpochProbe* inner) : inner_(inner) {}
-
-  void epoch_sample(std::string_view name, std::string_view device,
-                    double t, double value) override {
-    samples_.push_back({std::string(name), std::string(device), value});
-    if (inner_ != nullptr) inner_->epoch_sample(name, device, t, value);
-  }
-
-  std::vector<ResolveSample> take() { return std::move(samples_); }
-
- private:
-  EpochProbe* inner_;
-  std::vector<ResolveSample> samples_;
-};
-
 }  // namespace
 
 ResolveKey make_resolve_key(const Phase& phase,
@@ -120,16 +93,6 @@ ResolveKey make_resolve_key(const Phase& phase,
                             const CpuParams& cpu, double upi_bytes,
                             double upi_bw) {
   ResolveKey key;
-  make_resolve_key_into(phase, lanes, cpu, upi_bytes, upi_bw, &key);
-  return key;
-}
-
-void make_resolve_key_into(const Phase& phase,
-                           const std::vector<LaneDemand>& lanes,
-                           const CpuParams& cpu, double upi_bytes,
-                           double upi_bw, ResolveKey* out) {
-  ResolveKey& key = *out;
-  key.clear();
   // Phase timing fields, normalized: concurrency clamps to the physical
   // hardware-thread count exactly as the resolver bills it, so phases at
   // max_threads and beyond share one entry.  `name` and `streams` never
@@ -161,71 +124,7 @@ void make_resolve_key_into(const Phase& phase,
                                               : nullptr));
     if (lane.dev != nullptr) add_device(key, *lane.dev);
   }
-}
-
-MultiResolution ResolveCache::resolve(const Phase& phase,
-                                      const std::vector<LaneDemand>& lanes,
-                                      const CpuParams& cpu,
-                                      double upi_bytes, double upi_bw,
-                                      EpochProbe* probe, double epoch_t) {
-  const ResolveKey key =
-      make_resolve_key(phase, lanes, cpu, upi_bytes, upi_bw);
-  CachedResolution cached;
-  if (lookup(key, &cached)) {
-    // Replay the recorded epoch samples re-stamped at the current virtual
-    // time — identical stream to what resolve_lanes() would emit now.
-    if (probe != nullptr) {
-      for (const auto& sample : cached.samples) {
-        probe->epoch_sample(sample.name, sample.device, epoch_t,
-                            sample.value);
-      }
-    }
-    return std::move(cached.multi);
-  }
-  // Miss: run the fixed point once, recording its samples even when no
-  // probe is attached — a later hit may have telemetry and must still see
-  // the full stream (the byte-identical-replay invariant).
-  RecordingProbe recorder(probe);
-  MultiResolution multi =
-      resolve_lanes(phase, lanes, cpu, upi_bytes, upi_bw, &recorder,
-                    epoch_t);
-  insert(key, CachedResolution{multi, recorder.take()});
-  return multi;
-}
-
-void ResolveCache::resolve_into(const Phase& phase,
-                                const std::vector<LaneDemand>& lanes,
-                                const CpuParams& cpu, double upi_bytes,
-                                double upi_bw, EpochProbe* probe,
-                                double epoch_t, ResolveScratch* scratch,
-                                ResolveKey* key, MultiResolution* out) {
-  make_resolve_key_into(phase, lanes, cpu, upi_bytes, upi_bw, key);
-  const bool hit = lookup_with(*key, [&](const CachedResolution& cached) {
-    // Copy into the caller's storage under the shard lock (lanes.assign
-    // reuses capacity — no allocation in steady state) and replay the
-    // recorded epoch samples re-stamped at the current virtual time:
-    // identical stream to what resolve_lanes() would emit now.  The probe
-    // never touches the memo, so emitting under the lock is safe, and
-    // probes are only attached on telemetry runs — the hot sweep path
-    // passes nullptr.
-    out->time = cached.multi.time;
-    out->compute_time = cached.multi.compute_time;
-    out->lanes.assign(cached.multi.lanes.begin(), cached.multi.lanes.end());
-    if (probe != nullptr) {
-      for (const auto& sample : cached.samples) {
-        probe->epoch_sample(sample.name, sample.device, epoch_t,
-                            sample.value);
-      }
-    }
-  });
-  if (hit) return;
-  // Miss: run the fixed point once, recording its samples even when no
-  // probe is attached — a later hit may have telemetry and must still see
-  // the full stream (the byte-identical-replay invariant).
-  RecordingProbe recorder(probe);
-  resolve_lanes_into(phase, lanes, cpu, upi_bytes, upi_bw, &recorder,
-                     epoch_t, scratch, out);
-  insert(*key, CachedResolution{*out, recorder.take()});
+  return key;
 }
 
 }  // namespace nvms

@@ -1,40 +1,39 @@
-// Phase-resolution memoization: the simulator's result cache.
+// DRAM-cache stream memoization: the simulator's result cache.
 //
-// resolve_lanes() is a pure function of its normalized inputs — the
-// per-lane byte demands, the phase's timing parameters, the effective
-// device/CPU parameters and the UPI constraint.  The paper's prediction
-// methodology (Sec. V) leans on exactly this purity (a phase's behaviour
-// is determined by its demand profile), and HPC sweeps submit thousands
-// of near-identical phases: every solver iteration re-resolves the same
-// fixed point.  The ResolveCache memoizes those resolutions so a sweep
-// pays the damped fixed point once per distinct phase shape.
-//
-// The same object also carries the DRAM-cache stream memo (StreamMemo):
 // DramCache::access is deterministic in the full access history since
 // construction, and a sweep's thread dimension never changes that history,
-// so Memory-mode cells re-walk identical sampler trajectories.  DramCache
-// keys each access by a digest of its history (see DramCache::set_memo)
-// and skips the walk on a hit — this is where the bulk of a Memory-mode
-// sweep's wall clock goes.
+// so the Memory-mode cells of a grid re-walk identical sampler
+// trajectories.  DramCache keys each access by a digest of its history
+// (see DramCache::set_memo) and skips the walk on a hit — the walks are
+// where the bulk of a Memory-mode sweep's wall clock goes.  ResolveCache
+// is that memo.
 //
-// Byte-identical-replay invariant: a cache hit must be observationally
-// indistinguishable from recomputing.  The cached value therefore carries
-// (a) the full MultiResolution and (b) the epoch-telemetry samples the
-// resolver emitted while computing it, which are replayed into the
-// caller's EpochProbe re-stamped at the *current* virtual time.  CSV,
-// trace and metrics exports are byte-identical between cache-off and
-// cache-on runs at any worker count (asserted by tests/test_resolve_cache).
+// Attach rule: a hit needs an earlier system that walked the same
+// trajectory, and the keys chain a monotonic history digest, so a lone run
+// can never hit its own inserts.  A cache is therefore attached only where
+// trajectories recur: the cells of a multi-cell sweep, nvmsimd's
+// process-lifetime cache, and the placement evaluator's Memory-mode
+// replays.
 //
-// Concurrency: the cache is mutex-striped over N shards (default: one per
+// Byte-identical-replay invariant: a hit must be observationally
+// indistinguishable from walking.  The cached value therefore carries the
+// traffic split plus the internal signals DramCache needs to re-emit the
+// walk's epoch-telemetry samples at the current virtual time.  CSV, trace
+// and metrics exports are byte-identical between cache-off and cache-on
+// runs at any worker count (asserted by tests/test_resolve_cache).
+//
+// Concurrency: the memo is mutex-striped over N shards (default: one per
 // executor worker) keyed by the upper hash bits, so one shared instance
 // serves the whole experiment grid with minimal contention.  Values are
 // pure, so racing inserts of the same key are idempotent.
+//
+// ResolveKey and make_resolve_key() live here too: the placement
+// evaluator's phase-time memo (placement/replay_evaluator.hpp) keys on
+// them.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -49,32 +48,17 @@
 
 namespace nvms {
 
-/// How phase-resolution memoization is applied to a run or sweep.
-///   * kOff    — always run the fixed point (the baseline).
-///   * kPerRun — every experiment gets its own private cache (reuse
-///               across a run's iterations, nothing shared between tasks).
-///   * kShared — one mutex-striped cache serves the whole experiment grid.
-enum class ResolveCacheMode { kOff, kPerRun, kShared };
+/// Whether a run or sweep memoizes DRAM-cache stream walks.
+///   * kOff    — always walk (the baseline).
+///   * kShared — one mutex-striped cache serves every cell of a
+///               multi-cell grid, or the caller's process-lifetime cache
+///               (SweepSpec::external_cache) serves the run.
+enum class ResolveCacheMode { kOff, kShared };
 
 const char* to_string(ResolveCacheMode m);
-/// Parse "off" | "run" | "shared"; nullopt on anything else.
+/// Parse "off" | "shared"; nullopt on anything else.
 std::optional<ResolveCacheMode> parse_resolve_cache_mode(
     const std::string& s);
-
-/// One epoch-telemetry sample captured while resolving a miss, replayed
-/// verbatim (re-stamped at the hit's virtual time) on every later hit.
-struct ResolveSample {
-  std::string name;    ///< metric name ("wpq.util", "throttle.read")
-  std::string device;  ///< channel label ("nvm0", ...)
-  double value = 0.0;
-};
-
-/// Memoized resolution: the fixed-point result plus the samples needed to
-/// keep telemetry byte-identical on replay.
-struct CachedResolution {
-  MultiResolution multi;
-  std::vector<ResolveSample> samples;
-};
 
 /// Normalized cache key: a flat word sequence hashed FNV-1a style.  Equal
 /// word sequences are equal keys; the full sequence is kept so collisions
@@ -109,22 +93,15 @@ class ResolveKey {
 
 /// Build the normalized key for one resolve_lanes() call.  The key covers
 /// exactly the inputs the resolver reads — per-lane demands, the lane
-/// labels (cosmetic, but replayed into telemetry), every DeviceParams
-/// field the capacity/latency/WPQ models consult, the phase timing fields
-/// (threads clamped to cpu.max_threads(), matching the resolver), the CPU
-/// compute model and the UPI constraint.  Phase `name` and `streams` are
-/// deliberately excluded: they never reach the resolver.
+/// labels (cosmetic, but they name the telemetry channels), every
+/// DeviceParams field the capacity/latency/WPQ models consult, the phase
+/// timing fields (threads clamped to cpu.max_threads(), matching the
+/// resolver), the CPU compute model and the UPI constraint.  Phase `name`
+/// and `streams` are deliberately excluded: they never reach the resolver.
 ResolveKey make_resolve_key(const Phase& phase,
                             const std::vector<LaneDemand>& lanes,
                             const CpuParams& cpu, double upi_bytes,
                             double upi_bw);
-
-/// Allocation-free variant: clears `*out` (capacity kept) and appends the
-/// same word sequence.  make_resolve_key() is a thin wrapper.
-void make_resolve_key_into(const Phase& phase,
-                           const std::vector<LaneDemand>& lanes,
-                           const CpuParams& cpu, double upi_bytes,
-                           double upi_bw, ResolveKey* out);
 
 /// Monotonic cache statistics snapshot.
 struct ResolveCacheStats {
@@ -132,10 +109,6 @@ struct ResolveCacheStats {
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
   std::size_t entries = 0;
-  /// Inserts skipped under set_insert_bypass(true) — misses whose keys
-  /// provably cannot recur, so storing them would only burn memory and
-  /// eviction slots.
-  std::uint64_t bypassed = 0;
 
   double hit_rate() const {
     const double total = static_cast<double>(hits + misses);
@@ -186,44 +159,7 @@ class ShardedMemo {
     return true;
   }
 
-  /// Hit-callback lookup: on a hit, invokes `fn(value)` under the shard
-  /// lock instead of copying the value out.  Lets a caller with reusable
-  /// scratch copy only what it needs (e.g. into preallocated buffers)
-  /// without paying a full Value copy per hit.  `fn` must not re-enter the
-  /// memo (the shard mutex is held).
-  template <typename Fn>
-  bool lookup_with(const ResolveKey& key, Fn&& fn) const {
-    Shard& s = shard_for(key);
-    std::lock_guard<std::mutex> lock(s.mu);
-    const auto it = s.map.find(key);
-    if (it == s.map.end()) {
-      ++s.misses;
-      return false;
-    }
-    ++s.hits;
-    fn(it->second);
-    return true;
-  }
-
-  /// Skip future insert()s (lookups unaffected).  For memos whose keys
-  /// cannot recur within the owner's lifetime — the DRAM-cache stream
-  /// memo keys chain a monotonic history digest, so a single-cell sweep
-  /// or a one-shot run can never look one of its own inserts up again —
-  /// storing the values only displaces entries that could still hit.
-  /// Bypass never changes any byte: a prevented hit just recomputes the
-  /// identical pure value.
-  void set_insert_bypass(bool on) {
-    insert_bypass_.store(on, std::memory_order_relaxed);
-  }
-
   void insert(const ResolveKey& key, Value value) {
-    if (insert_bypass_.load(std::memory_order_relaxed)) {
-      // Monotonic tally only; deliberately outside the shard invariants
-      // (entries + evictions <= misses still holds — a bypassed insert
-      // contributes its miss and nothing else).
-      bypassed_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
     Shard& s = shard_for(key);
     std::lock_guard<std::mutex> lock(s.mu);
     const auto [it, inserted] = s.map.try_emplace(key, std::move(value));
@@ -240,8 +176,6 @@ class ShardedMemo {
       s.ring.push_back(key);
     }
   }
-
-  std::size_t shard_count() const { return shards_.size(); }
 
   /// Snapshot of the cache statistics.  Counters live inside their shard
   /// and are read under the same mutex that orders the map operations, so
@@ -261,7 +195,6 @@ class ShardedMemo {
       out.evictions += s.evictions;
       out.entries += s.map.size();
     }
-    out.bypassed = bypassed_.load(std::memory_order_relaxed);
     return out;
   }
 
@@ -278,17 +211,6 @@ class ShardedMemo {
     m.set(m.gauge(prefix + ".evictions"), static_cast<double>(s.evictions));
     m.set(m.gauge(prefix + ".entries"), static_cast<double>(s.entries));
     m.set(m.gauge(prefix + ".hit_rate"), s.hit_rate());
-    m.set(m.gauge(prefix + ".bypass"), static_cast<double>(s.bypassed));
-  }
-
-  /// Drop every entry (statistics are kept).
-  void clear() {
-    for (auto& s : shards_) {
-      std::lock_guard<std::mutex> lock(s.mu);
-      s.map.clear();
-      s.ring.clear();
-      s.ring_next = 0;
-    }
   }
 
  private:
@@ -317,60 +239,23 @@ class ShardedMemo {
 
   mutable std::vector<Shard> shards_;
   std::size_t max_entries_per_shard_ = 1;
-  std::atomic<bool> insert_bypass_{false};
-  mutable std::atomic<std::uint64_t> bypassed_{0};
 };
 
-/// The one cache object plumbed through executor/sweep/CLI: the phase-
-/// resolution memo (this class) plus the DRAM-cache stream memo served to
-/// every MemorySystem's DramCache (streams()).
-class ResolveCache : public ShardedMemo<CachedResolution> {
+/// The one cache object plumbed through sweep/CLI/daemon into every
+/// attached MemorySystem's DramCache: the stream memo itself.
+class ResolveCache : public StreamMemo {
  public:
   explicit ResolveCache(std::size_t shards = 0,
                         std::size_t max_entries = kDefaultMaxEntries)
-      : ShardedMemo(shards, max_entries), streams_(shards, max_entries) {}
+      : StreamMemo(shards, max_entries) {}
 
-  /// Memoized drop-in for resolve_lanes(): on a miss, runs the fixed
-  /// point (recording its epoch samples) and caches the result; on a hit,
-  /// replays the cached samples into `probe` stamped at `epoch_t` and
-  /// returns the cached resolution.  Bit-identical to calling
-  /// resolve_lanes() directly, including the telemetry stream.
-  MultiResolution resolve(const Phase& phase,
-                          const std::vector<LaneDemand>& lanes,
-                          const CpuParams& cpu, double upi_bytes,
-                          double upi_bw, EpochProbe* probe, double epoch_t);
+  /// Alias of stats() that names the memo explicitly.
+  ResolveCacheStats stream_stats() const { return stats(); }
 
-  /// Allocation-free variant for the epoch hot path: the key is rebuilt
-  /// into `*key` (capacity reused), a hit copies the cached resolution
-  /// into `out->lanes`' existing storage under the shard lock, and a miss
-  /// runs the SoA fixed point on `*scratch` via resolve_lanes_into().
-  /// Same results and telemetry stream as resolve(), byte for byte.
-  void resolve_into(const Phase& phase, const std::vector<LaneDemand>& lanes,
-                    const CpuParams& cpu, double upi_bytes, double upi_bw,
-                    EpochProbe* probe, double epoch_t,
-                    ResolveScratch* scratch, ResolveKey* key,
-                    MultiResolution* out);
-
-  StreamMemo& streams() { return streams_; }
-  const StreamMemo& streams() const { return streams_; }
-  /// Statistics of the stream memo (phase-resolution stats: stats()).
-  ResolveCacheStats stream_stats() const { return streams_.stats(); }
-
-  /// Publish both memos' statistics as gauges (resolve_cache.* and
-  /// stream_memo.*).
+  /// Publish the statistics as stream_memo.* gauges.
   void publish(MetricsRegistry& m) const {
-    ShardedMemo<CachedResolution>::publish(m, "resolve_cache");
-    streams_.publish(m, "stream_memo");
+    StreamMemo::publish(m, "stream_memo");
   }
-
-  /// Drop every entry of both memos (statistics are kept).
-  void clear() {
-    ShardedMemo<CachedResolution>::clear();
-    streams_.clear();
-  }
-
- private:
-  StreamMemo streams_;
 };
 
 }  // namespace nvms

@@ -370,11 +370,15 @@ ReplayEvalStats ReplayEvaluator::stats() const {
   ReplayEvalStats s;
   s.evals = evals_.load(std::memory_order_relaxed);
   s.full_replays = full_replays_.load(std::memory_order_relaxed);
-  s.phase_cache = incremental_ ? memo_.stats() : fallback_cache_.stats();
-  // Fold the first-level signature hits into the phase-cache view: a
-  // shape-memo miss is the only time a fixed point actually runs.
-  s.phase_cache.hits += sig_hits_.load(std::memory_order_relaxed);
-  s.stream_memo = fallback_cache_.stream_stats();
+  // Memory mode has no phase memo (every evaluation is a full replay), so
+  // its phase-cache view stays zero; the fallback cache is the stream memo.
+  if (incremental_) {
+    s.phase_cache = memo_.stats();
+    // Fold the first-level signature hits into the phase-cache view: a
+    // shape-memo miss is the only time a fixed point actually runs.
+    s.phase_cache.hits += sig_hits_.load(std::memory_order_relaxed);
+  }
+  s.stream_memo = fallback_cache_.stats();
   return s;
 }
 

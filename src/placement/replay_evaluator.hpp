@@ -17,21 +17,20 @@
 //     floating-point additions, in the same order, as a full replay.
 //
 //  2. *Resolution purity.*  resolve_lanes() is a pure function of its
-//     normalized inputs (the PR-3 ResolveCache invariant), so re-resolved
-//     phase times are memoized in a ShardedMemo keyed by
-//     make_resolve_key().  The shape key subsumes the "placement signature
-//     of the touched buffers": flipping a buffer changes exactly the lane
-//     demands the key hashes, and it additionally collapses the recording's
-//     repeated solver iterations into one entry — an evaluation mostly
-//     costs key lookups, not fixed points.
+//     normalized inputs, so re-resolved phase times are memoized in a
+//     ShardedMemo keyed by make_resolve_key().  The shape key subsumes the
+//     "placement signature of the touched buffers": flipping a buffer
+//     changes exactly the lane demands the key hashes, and it additionally
+//     collapses the recording's repeated solver iterations into one entry
+//     — an evaluation mostly costs key lookups, not fixed points.
 //
 // Memory mode (kCachedNvm) breaks fact 1: the DramCache is stateful across
 // phases.  There the evaluator falls back to a full replay on a fresh
 // system, routed through a shared ResolveCache so the DRAM-cache stream
-// memo keeps repeated access-history prefixes from re-walking the sampler
-// and the phase memo absorbs the fixed points.  (Placement directives do
-// not change Memory-mode routing at all — every access goes through the
-// cache — so candidate evaluations there converge to full memo hits.)
+// memo keeps repeated access-history prefixes from re-walking the
+// sampler.  (Placement directives do not change Memory-mode routing at
+// all — every access goes through the cache — so candidate evaluations
+// there converge to full stream-memo hits.)
 //
 // Thread safety: evaluate_flip()/evaluate() are const and safe to call
 // concurrently (the memos are mutex-striped, the statistics atomic);
@@ -56,8 +55,10 @@ namespace nvms {
 
 /// Evaluation accounting: candidate evaluations, Memory-mode fallback
 /// replays, and the memo tables' hit/miss statistics.  `phase_cache`
-/// aggregates both memo levels (signature hits + shape hits as hits,
-/// actual fixed-point computations as misses).  `evals` and
+/// aggregates both phase-memo levels (signature hits + shape hits as
+/// hits, actual fixed-point computations as misses; zero in Memory mode,
+/// which replays in full), `stream_memo` the Memory-mode fallback's
+/// DRAM-cache stream memo.  `evals` and
 /// `full_replays` are deterministic for any worker count; the memo
 /// hit/miss split can shift by a few counts under parallel evaluation
 /// (racing misses on a shared key are idempotent but both counted).
@@ -172,7 +173,7 @@ class ReplayEvaluator {
   /// Second level, shared across phases: shape-keyed via
   /// make_resolve_key(), collapsing repeated solver iterations.
   mutable ShardedMemo<double> memo_;
-  mutable ResolveCache fallback_cache_;    ///< Memory-mode replay memos
+  mutable ResolveCache fallback_cache_;    ///< Memory-mode stream memo
   mutable std::atomic<std::uint64_t> evals_{0};
   mutable std::atomic<std::uint64_t> full_replays_{0};
   mutable std::atomic<std::uint64_t> sig_hits_{0};

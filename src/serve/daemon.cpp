@@ -184,19 +184,13 @@ struct Daemon::Impl {
   std::string metrics_text() {
     std::lock_guard<std::mutex> lock(metrics_mu);
     cache.publish(tel.metrics());
-    // Stream-memo inserts skipped because a one-shot working set cannot
-    // repeat (satellite of the lane-sharding work).  publish() refreshes
-    // the same gauge; this spells the registered name out.
-    tel.metrics().set(tel.metrics().gauge("resolve_cache.bypass"),
-                      static_cast<double>(cache.stats().bypassed));
     tel.metrics().set(id_intra_leased,
                       static_cast<double>(IntraBudget::global().in_use()));
     return prometheus_text(tel, "nvmsimd");
   }
 
   std::string stats_text() {
-    const ResolveCacheStats rc = cache.stats();
-    const ResolveCacheStats sm = cache.stream_stats();
+    const ResolveCacheStats sm = cache.stats();
     Json j;
     j.set("queue_depth", static_cast<std::uint64_t>(queue.depth()))
         .set("queue_capacity", static_cast<std::uint64_t>(queue.capacity()))
@@ -204,18 +198,13 @@ struct Daemon::Impl {
         .set("workers", cfg.workers)
         .set("clients", static_cast<std::uint64_t>(budget.clients()))
         .set("client_budget", cfg.client_budget);
-    auto cache_json = [](const ResolveCacheStats& s) {
-      Json c;
-      c.set("hits", s.hits)
-          .set("misses", s.misses)
-          .set("evictions", s.evictions)
-          .set("entries", static_cast<std::uint64_t>(s.entries))
-          .set("bypassed", s.bypassed)
-          .set("hit_rate", s.hit_rate());
-      return c;
-    };
-    j.set("resolve_cache", cache_json(rc))
-        .set("stream_memo", cache_json(sm));
+    Json memo;
+    memo.set("hits", sm.hits)
+        .set("misses", sm.misses)
+        .set("evictions", sm.evictions)
+        .set("entries", static_cast<std::uint64_t>(sm.entries))
+        .set("hit_rate", sm.hit_rate());
+    j.set("stream_memo", memo);
     return j.dump(0) + "\n";
   }
 
@@ -449,18 +438,15 @@ struct Daemon::Impl {
       const int active = 1 + busy_workers.fetch_add(1);
       set_gauge(id_queue_depth, static_cast<double>(queue.depth()));
       observe(id_queue_wait, ms_since(job->admitted));
-      // Hand idle intra-run lanes to this request: a request that did
-      // not pick a width gets the lane budget split over the requests
-      // executing right now (the whole machine when it is alone).  The
-      // response bytes never depend on the width, so the grant can vary
-      // freely with load.
-      if (job->req.args.count("intra-jobs") == 0) {
-        job->req.args["intra-jobs"] =
-            std::to_string(resolve_auto_intra_jobs(active));
-      }
+      // Hand idle intra-run lanes to this request: a command that runs
+      // the simulator without picking a width gets the lane budget split
+      // over the requests executing right now (the whole machine when it
+      // is alone).  The response bytes never depend on the width, so the
+      // grant can vary freely with load.
       std::ostringstream sout, serr;
       CommandContext ctx;
       ctx.shared_cache = &cache;
+      ctx.intra_jobs = resolve_auto_intra_jobs(active);
       const int rc = run_command_guarded(job->req.cmd,
                                          options_from(job->req), sout, serr,
                                          &ctx);

@@ -13,11 +13,12 @@
 //     "queue_full" rejections, never unbounded memory;
 //   * per-client lifetime TokenBudgets — one tenant cannot starve the
 //     rest;
-//   * one process-lifetime shared ResolveCache — requests that opt into
-//     --resolve-cache=shared warm it across clients, so repeated queries
-//     over the same applications are near-free.  The daemon publishes the
-//     cache's hit/miss/eviction gauges process-wide through the `metrics`
-//     command (Prometheus text), lifting the per-task-telemetry exclusion
+//   * one process-lifetime shared ResolveCache (the DRAM-cache stream
+//     memo) — requests that opt into --resolve-cache=shared warm it across
+//     clients, so repeated Memory-mode queries over the same applications
+//     skip their DRAM-cache walks.  The daemon publishes the memo's
+//     hit/miss/eviction gauges process-wide through the `metrics` command
+//     (Prometheus text), lifting the per-task-telemetry exclusion
 //     documented in memsim/resolve_cache.hpp: process scope has no
 //     per-task byte-identity constraint.
 //
@@ -87,7 +88,7 @@ class Daemon {
   void stop();
 
   /// Prometheus exposition of the serve.* metrics plus the shared
-  /// resolve-cache gauges (same text the `metrics` request returns).
+  /// stream-memo gauges (same text the `metrics` request returns).
   std::string metrics_text();
 
  private:

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <vector>
 
@@ -424,6 +425,7 @@ TEST(Cli, MalformedInputsAreUsageErrorsAcrossAllCommands) {
       {{"sweep", "hacc", "--modes", "weird"}, "unknown mode"},
       {{"sweep", "hacc", "--jobs", "2x"}, "--jobs"},
       {{"sweep", "hacc", "--resolve-cache", "sometimes"}, "--resolve-cache"},
+      {{"sweep", "hacc", "--resolve-cache=run"}, "--resolve-cache"},
       {{"run", "hacc", "--threads", "1.5"}, "--threads"},
       {{"run", "hacc", "--threads", "10xyz"}, "--threads"},
       {{"run", "hacc", "--scale", "1.5q"}, "--scale"},
@@ -454,6 +456,47 @@ TEST(Cli, MalformedInputsAreUsageErrorsAcrossAllCommands) {
     EXPECT_EQ(run_cli(c.args, nullptr, &err), 2) << label;
     EXPECT_NE(err.find(c.diagnostic), std::string::npos)
         << label << "stderr was: " << err;
+  }
+}
+
+// The stream memo is attached only where it can hit.  A multi-cell
+// Memory-mode grid replays one DRAM-cache trajectory across its thread
+// dimension, so a shared cache reports hits there — and the rows stay
+// byte-identical.  A one-shot run and a single-cell sweep can never hit
+// their own inserts, so they attach nothing and report no memo line.
+TEST(Cli, SharedResolveCacheAttachesOnlyWhereItCanHit) {
+  const std::vector<std::string> grid = {"sweep",   "xsbench",   "--modes",
+                                         "cached-nvm", "--threads", "12,24",
+                                         "--jobs",  "2",         "--csv"};
+  std::string off_csv, off_err;
+  auto off_args = grid;
+  off_args.insert(off_args.end(), {"--resolve-cache", "off"});
+  ASSERT_EQ(run_cli(off_args, &off_csv, &off_err), 0) << off_err;
+  EXPECT_EQ(off_err.find("stream-memo"), std::string::npos);
+
+  std::string shared_csv, shared_err;
+  auto shared_args = grid;
+  shared_args.insert(shared_args.end(), {"--resolve-cache", "shared"});
+  ASSERT_EQ(run_cli(shared_args, &shared_csv, &shared_err), 0) << shared_err;
+  EXPECT_EQ(shared_csv, off_csv);
+  const std::size_t line = shared_err.find("stream-memo: ");
+  ASSERT_NE(line, std::string::npos) << shared_err;
+  const unsigned long hits = std::strtoul(
+      shared_err.c_str() + line + std::string("stream-memo: ").size(),
+      nullptr, 10);
+  EXPECT_GT(hits, 0ul) << shared_err;
+
+  for (const std::vector<std::string>& lone :
+       {std::vector<std::string>{"run", "xsbench", "--mode", "cached-nvm",
+                                 "--threads", "12", "--resolve-cache",
+                                 "shared"},
+        std::vector<std::string>{"sweep", "xsbench", "--modes", "cached-nvm",
+                                 "--threads", "12", "--resolve-cache",
+                                 "shared"}}) {
+    std::string err;
+    EXPECT_EQ(run_cli(lone, nullptr, &err), 0) << err;
+    EXPECT_EQ(err.find("stream-memo"), std::string::npos)
+        << lone[0] << ": " << err;
   }
 }
 

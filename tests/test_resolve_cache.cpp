@@ -1,7 +1,8 @@
-// Phase-resolution memoization tests: key normalization, hit/miss/evict
-// accounting, the byte-identical-replay invariant (results and telemetry
-// streams), the thread-clamp boundary, and end-to-end sweep determinism
-// (cache-off serial vs shared-cache parallel).
+// Resolve-cache tests: resolve-key normalization, the DRAM-cache stream
+// memo's hit/miss/evict accounting and byte-identical replay (identical,
+// divergent and reset trajectories), the attach rule, the thread-clamp
+// boundary, and end-to-end sweep determinism (cache-off serial vs
+// shared-cache parallel).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +14,6 @@
 #include "memsim/memory_system.hpp"
 #include "memsim/resolve.hpp"
 #include "memsim/resolve_cache.hpp"
-#include "obs/telemetry.hpp"
 #include "simcore/units.hpp"
 
 namespace nvms {
@@ -42,23 +42,10 @@ std::vector<LaneDemand> make_lanes(const DeviceParams& dram,
   return lanes;
 }
 
-/// Captures every epoch sample verbatim for stream comparison.
-struct CaptureProbe final : EpochProbe {
-  struct Sample {
-    std::string name, device;
-    double t, value;
-  };
-  std::vector<Sample> samples;
-  void epoch_sample(std::string_view name, std::string_view device,
-                    double t, double value) override {
-    samples.push_back({std::string(name), std::string(device), t, value});
-  }
-};
-
 TEST(ResolveCacheMode, Parsing) {
   EXPECT_EQ(parse_resolve_cache_mode("off"), ResolveCacheMode::kOff);
-  EXPECT_EQ(parse_resolve_cache_mode("run"), ResolveCacheMode::kPerRun);
   EXPECT_EQ(parse_resolve_cache_mode("shared"), ResolveCacheMode::kShared);
+  EXPECT_FALSE(parse_resolve_cache_mode("run").has_value());
   EXPECT_FALSE(parse_resolve_cache_mode("ON").has_value());
   EXPECT_FALSE(parse_resolve_cache_mode("").has_value());
   EXPECT_STREQ(to_string(ResolveCacheMode::kShared), "shared");
@@ -116,146 +103,18 @@ TEST(ResolveKey, DemandAndDeviceChangesChangeTheKey) {
   EXPECT_FALSE(base == upi);
 }
 
-TEST(ResolveCache, HitReturnsTheResolvedValue) {
-  const DeviceParams dram = ddr4_socket_params(192 * MiB);
-  const DeviceParams nvm = optane_socket_params(1536 * MiB);
-  const auto lanes = make_lanes(dram, nvm);
-  CpuParams cpu;
-  const Phase p = make_phase("p");
-  const MultiResolution direct =
-      resolve_lanes(p, lanes, cpu, 0.0, 0.0, nullptr, 0.0);
-
-  ResolveCache cache(2);
-  const MultiResolution miss =
-      cache.resolve(p, lanes, cpu, 0.0, 0.0, nullptr, 0.0);
-  const MultiResolution hit =
-      cache.resolve(p, lanes, cpu, 0.0, 0.0, nullptr, 1.5);
-  for (const MultiResolution* r : {&miss, &hit}) {
-    EXPECT_DOUBLE_EQ(r->time, direct.time);
-    EXPECT_DOUBLE_EQ(r->compute_time, direct.compute_time);
-    ASSERT_EQ(r->lanes.size(), direct.lanes.size());
-    for (std::size_t i = 0; i < direct.lanes.size(); ++i) {
-      EXPECT_DOUBLE_EQ(r->lanes[i].read_bw, direct.lanes[i].read_bw);
-      EXPECT_DOUBLE_EQ(r->lanes[i].write_bw, direct.lanes[i].write_bw);
-      EXPECT_DOUBLE_EQ(r->lanes[i].wpq_util, direct.lanes[i].wpq_util);
-      EXPECT_DOUBLE_EQ(r->lanes[i].throttle, direct.lanes[i].throttle);
-    }
-  }
-  const auto s = cache.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.entries, 1u);
-}
-
-TEST(ResolveCache, HitReplaysTheExactTelemetryStream) {
-  // The byte-identical-replay invariant: a hit must emit the same samples
-  // a fresh resolution would, re-stamped at the hit's virtual time.  The
-  // first resolution here runs without any probe attached — the recording
-  // must happen regardless.
-  const DeviceParams dram = ddr4_socket_params(192 * MiB);
-  const DeviceParams nvm = optane_socket_params(1536 * MiB);
-  const auto lanes = make_lanes(dram, nvm);
-  CpuParams cpu;
-  const Phase p = make_phase("p");
-
-  CaptureProbe expected;
-  resolve_lanes(p, lanes, cpu, 0.0, 0.0, &expected, 2.25);
-
-  ResolveCache cache(1);
-  (void)cache.resolve(p, lanes, cpu, 0.0, 0.0, nullptr, 0.0);  // probeless
-  CaptureProbe replayed;
-  (void)cache.resolve(p, lanes, cpu, 0.0, 0.0, &replayed, 2.25);
-
-  ASSERT_EQ(replayed.samples.size(), expected.samples.size());
-  ASSERT_GT(expected.samples.size(), 0u);
-  for (std::size_t i = 0; i < expected.samples.size(); ++i) {
-    EXPECT_EQ(replayed.samples[i].name, expected.samples[i].name);
-    EXPECT_EQ(replayed.samples[i].device, expected.samples[i].device);
-    EXPECT_DOUBLE_EQ(replayed.samples[i].t, expected.samples[i].t);
-    EXPECT_DOUBLE_EQ(replayed.samples[i].value, expected.samples[i].value);
-  }
-}
-
-TEST(ResolveCache, EvictionKeepsTheCacheBounded) {
-  const DeviceParams dram = ddr4_socket_params(192 * MiB);
-  const DeviceParams nvm = optane_socket_params(1536 * MiB);
-  CpuParams cpu;
-  ResolveCache cache(/*shards=*/1, /*max_entries=*/4);
-  for (int i = 0; i < 16; ++i) {
-    const auto lanes =
-        make_lanes(dram, nvm, 1 * MiB * static_cast<std::uint64_t>(i + 1));
-    (void)cache.resolve(make_phase("p"), lanes, cpu, 0.0, 0.0, nullptr, 0.0);
-  }
-  const auto s = cache.stats();
-  EXPECT_EQ(s.misses, 16u);
-  EXPECT_EQ(s.entries, 4u);
-  EXPECT_EQ(s.evictions, 12u);
-  EXPECT_DOUBLE_EQ(s.hit_rate(), 0.0);
-}
-
-TEST(ResolveCache, PublishExportsGauges) {
-  const DeviceParams dram = ddr4_socket_params(192 * MiB);
-  const DeviceParams nvm = optane_socket_params(1536 * MiB);
-  const auto lanes = make_lanes(dram, nvm);
-  CpuParams cpu;
-  ResolveCache cache(1);
-  (void)cache.resolve(make_phase("p"), lanes, cpu, 0.0, 0.0, nullptr, 0.0);
-  (void)cache.resolve(make_phase("q"), lanes, cpu, 0.0, 0.0, nullptr, 0.0);
-
-  MetricsRegistry m;
-  cache.publish(m);
-  double hits = -1.0, hit_rate = -1.0;
-  for (const auto& metric : m.metrics()) {
-    if (metric.name == "resolve_cache.hits") hits = metric.value;
-    if (metric.name == "resolve_cache.hit_rate") hit_rate = metric.value;
-  }
-  EXPECT_DOUBLE_EQ(hits, 1.0);  // "q" has the same shape as "p"
-  EXPECT_DOUBLE_EQ(hit_rate, 0.5);
-}
-
-TEST(ResolveCache, SubmitWithCacheMatchesWithout) {
-  // Whole-system check: two identical systems, one cached, run the same
-  // phases (including repeats) and must agree on clock and counters.
-  SystemConfig cfg = SystemConfig::testbed(Mode::kUncachedNvm);
-  MemorySystem plain(cfg);
-  MemorySystem cached(cfg);
-  ResolveCache cache(2);
-  cached.set_resolve_cache(&cache);
-
-  for (MemorySystem* sys : {&plain, &cached}) {
-    const auto id = sys->register_buffer("b", 8 * MiB);
-    for (int i = 0; i < 5; ++i) {
-      (void)sys->submit(PhaseBuilder("iter")
-                            .threads(24)
-                            .flops(1e9)
-                            .stream(seq_read(id, 512 * MiB))
-                            .stream(seq_write(id, 128 * MiB))
-                            .build());
-    }
-  }
-  EXPECT_DOUBLE_EQ(plain.now(), cached.now());
-  EXPECT_DOUBLE_EQ(plain.counters().cycles_active,
-                   cached.counters().cycles_active);
-  EXPECT_DOUBLE_EQ(plain.counters().stall_cycles,
-                   cached.counters().stall_cycles);
-  const auto s = cache.stats();
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.hits, 4u);
-}
-
 TEST(ResolveCache, ThreadClampBoundaryIsConsistent) {
   // Timing and counters both clamp concurrency to cpu.max_threads(): a
   // phase at the boundary and one oversubscribed past it must behave
-  // identically end to end (and share a cache entry).
+  // identically end to end (they also share one resolve key, see
+  // ResolveKey.ThreadsClampLikeTheResolver).
   SystemConfig cfg = SystemConfig::testbed(Mode::kUncachedNvm);
   const int max = cfg.cpu.max_threads();
   double now[2];
   double cycles[2];
   int i = 0;
-  ResolveCache cache(1);
   for (const int threads : {max, 2 * max}) {
     MemorySystem sys(cfg);
-    sys.set_resolve_cache(&cache);
     const auto id = sys.register_buffer("b", 8 * MiB);
     (void)sys.submit(PhaseBuilder("p")
                          .threads(threads)
@@ -268,15 +127,12 @@ TEST(ResolveCache, ThreadClampBoundaryIsConsistent) {
   }
   EXPECT_DOUBLE_EQ(now[0], now[1]);
   EXPECT_DOUBLE_EQ(cycles[0], cycles[1]);
-  const auto s = cache.stats();
-  EXPECT_EQ(s.misses, 1u);  // one entry serves both
-  EXPECT_EQ(s.hits, 1u);
 }
 
 TEST(ResolveCache, SweepExportsAreByteIdenticalAcrossModesAndJobs) {
   // End-to-end determinism: the reference sweep (cache off, serial) must
   // produce byte-identical CSV, Chrome-trace and metrics exports to a
-  // shared-cache parallel sweep and a per-run-cache sweep.
+  // shared-cache parallel sweep.
   SweepSpec ref;
   ref.app = "stream";
   ref.modes = {Mode::kDramOnly, Mode::kCachedNvm, Mode::kUncachedNvm};
@@ -291,21 +147,39 @@ TEST(ResolveCache, SweepExportsAreByteIdenticalAcrossModesAndJobs) {
   shared_spec.resolve_cache = ResolveCacheMode::kShared;
   const auto shared_res = run_sweep(shared_spec);
 
-  SweepSpec perrun_spec = ref;
-  perrun_spec.resolve_cache = ResolveCacheMode::kPerRun;
-  const auto perrun_res = run_sweep(perrun_spec);
-
-  for (const SweepResult* r : {&shared_res, &perrun_res}) {
-    EXPECT_EQ(sweep_csv(*r), sweep_csv(base));
-    EXPECT_EQ(sweep_chrome_trace(*r), sweep_chrome_trace(base));
-    EXPECT_EQ(sweep_metrics_csv(*r), sweep_metrics_csv(base));
-    EXPECT_GT(r->cache_stats.hits, 0u);
-  }
+  EXPECT_EQ(sweep_csv(shared_res), sweep_csv(base));
+  EXPECT_EQ(sweep_chrome_trace(shared_res), sweep_chrome_trace(base));
+  EXPECT_EQ(sweep_metrics_csv(shared_res), sweep_metrics_csv(base));
   // The Memory-mode cells of the shared sweep repeat one sampler
   // trajectory across the thread dimension: the stream memo must see it.
-  EXPECT_GT(shared_res.stream_stats.hits, 0u);
+  EXPECT_GT(shared_res.cache_stats.hits, 0u);
   EXPECT_EQ(base.cache_stats.hits + base.cache_stats.misses, 0u);
-  EXPECT_EQ(base.stream_stats.hits + base.stream_stats.misses, 0u);
+}
+
+TEST(ResolveCache, SweepAttachesACacheOnlyWhereItCanHit) {
+  // A lone cell can never hit its own stream-memo inserts, so a
+  // single-cell grid attaches no grid-local cache: its Memory-mode walks
+  // never consult a memo.  A caller-owned cache outlives the grid (a later
+  // identical run replays the trajectory) and is attached at any size.
+  SweepSpec one;
+  one.app = "stream";
+  one.modes = {Mode::kCachedNvm};
+  one.threads = {12};
+  one.scales = {0.25};
+  one.jobs = 1;
+  one.resolve_cache = ResolveCacheMode::kShared;
+  const auto lone = run_sweep(one);
+  ASSERT_EQ(lone.rows.size(), 1u);
+  EXPECT_EQ(lone.cache_stats.hits + lone.cache_stats.misses, 0u);
+
+  ResolveCache external(1);
+  one.external_cache = &external;
+  const auto cold = run_sweep(one);
+  const auto warm = run_sweep(one);
+  EXPECT_EQ(sweep_csv(cold), sweep_csv(lone));
+  EXPECT_EQ(sweep_csv(warm), sweep_csv(lone));
+  EXPECT_GT(external.stats().hits, 0u);
+  EXPECT_EQ(warm.cache_stats.hits, external.stats().hits);
 }
 
 /// Submit the same Memory-mode phase program (sequential, strided and
@@ -322,6 +196,44 @@ void run_cached_program(MemorySystem& sys) {
                          .stream(seq_write(b, 8 * MiB))
                          .build());
   }
+}
+
+TEST(ResolveCache, EvictionKeepsTheCacheBounded) {
+  // One Memory-mode run through a 4-entry memo: every access of a lone
+  // trajectory misses, and the ring keeps only the newest four.
+  ResolveCache cache(/*shards=*/1, /*max_entries=*/4);
+  MemorySystem sys(SystemConfig::testbed(Mode::kCachedNvm));
+  sys.set_resolve_cache(&cache);
+  run_cached_program(sys);
+  const auto s = cache.stats();
+  EXPECT_GT(s.misses, 4u);
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.entries, 4u);
+  EXPECT_EQ(s.evictions, s.misses - 4u);
+  EXPECT_DOUBLE_EQ(s.hit_rate(), 0.0);
+}
+
+TEST(ResolveCache, PublishExportsGauges) {
+  // The second system replays the first one's trajectory: half of all
+  // lookups hit, and publish() exports that as stream_memo.* gauges.
+  ResolveCache cache(1);
+  for (int run = 0; run < 2; ++run) {
+    MemorySystem sys(SystemConfig::testbed(Mode::kCachedNvm));
+    sys.set_resolve_cache(&cache);
+    run_cached_program(sys);
+  }
+  const auto s = cache.stats();
+
+  MetricsRegistry m;
+  cache.publish(m);
+  double hits = -1.0, hit_rate = -1.0;
+  for (const auto& metric : m.metrics()) {
+    if (metric.name == "stream_memo.hits") hits = metric.value;
+    if (metric.name == "stream_memo.hit_rate") hit_rate = metric.value;
+  }
+  EXPECT_GT(s.hits, 0u);
+  EXPECT_DOUBLE_EQ(hits, static_cast<double>(s.hits));
+  EXPECT_DOUBLE_EQ(hit_rate, 0.5);
 }
 
 TEST(StreamMemo, IdenticalTrajectoriesSkipTheWalkByteIdentically) {
@@ -448,7 +360,7 @@ TEST(ResolveCache, ShardedMemoStatsStayConsistentUnderConcurrentSweeps) {
   // are read under the same lock, making every snapshot per-shard
   // consistent: `entries + evictions <= misses` must hold at all times
   // (every entry stems from a counted miss).  Run under TSan in CI.
-  ShardedMemo<int> memo(/*shards=*/4, /*max_entries=*/64);
+  ResolveCache memo(/*shards=*/4, /*max_entries=*/64);
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> violations{0};
 
@@ -462,7 +374,7 @@ TEST(ResolveCache, ShardedMemoStatsStayConsistentUnderConcurrentSweeps) {
       if (s.hit_rate() < 0.0 || s.hit_rate() > 1.0) {
         violations.fetch_add(1, std::memory_order_relaxed);
       }
-      memo.publish(gauges, "resolve_cache");
+      memo.publish(gauges);
     }
   });
 
@@ -475,9 +387,11 @@ TEST(ResolveCache, ShardedMemoStatsStayConsistentUnderConcurrentSweeps) {
         ResolveKey key;
         key.add_word(static_cast<std::uint64_t>(w) << 32);
         key.add_word(static_cast<std::uint64_t>(i));
-        int value = 0;
+        CachedStreamOutcome value;
         if (!memo.lookup(key, &value)) {
-          memo.insert(key, i);  // lookup-miss then insert: the real flow
+          // lookup-miss then insert: the real flow
+          value.occupancy = static_cast<double>(i);
+          memo.insert(key, value);
         }
         // Re-read a recent key so hits accrue too.
         (void)memo.lookup(key, &value);

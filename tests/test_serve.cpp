@@ -383,7 +383,9 @@ class DaemonFixture {
 int DaemonFixture::counter_ = 0;
 
 /// One-shot CLI stdout for the same query — the byte-identity oracle.
-std::string cli_stdout(const std::vector<std::string>& args, int expect_rc) {
+/// `err_text`, when given, receives the CLI's stderr.
+std::string cli_stdout(const std::vector<std::string>& args, int expect_rc,
+                       std::string* err_text = nullptr) {
   std::vector<std::string> full = {"nvmsim"};
   full.insert(full.end(), args.begin(), args.end());
   std::vector<std::vector<char>> storage;
@@ -397,6 +399,7 @@ std::string cli_stdout(const std::vector<std::string>& args, int expect_rc) {
   EXPECT_EQ(cli_main(static_cast<int>(argv.size()), argv.data(), out, err),
             expect_rc)
       << err.str();
+  if (err_text != nullptr) *err_text = err.str();
   return out.str();
 }
 
@@ -416,17 +419,17 @@ TEST(ServeDaemon, InlineCommandsAnswerWithoutTouchingTheQueue) {
   const auto inner = json_parse(stats.find("out")->as_string());
   ASSERT_TRUE(inner.value.has_value()) << inner.error;
   EXPECT_DOUBLE_EQ(inner.value->find("workers")->as_number(), 2.0);
-  EXPECT_NE(inner.value->find("resolve_cache"), nullptr);
+  EXPECT_NE(inner.value->find("stream_memo"), nullptr);
 
   const JsonValue metrics = c.roundtrip(R"({"cmd":"metrics"})");
   ASSERT_TRUE(metrics.find("ok")->as_bool());
   const std::string text = metrics.find("out")->as_string();
   // serve.* counters and the process-wide shared-cache gauges are both
-  // in the exposition (resolve_cache.* is published at process scope —
+  // in the exposition (stream_memo.* is published at process scope —
   // the per-task exclusion does not apply to the daemon).
   EXPECT_NE(text.find("nvms_serve_requests_total"), std::string::npos);
   EXPECT_NE(text.find("nvms_serve_queue_depth"), std::string::npos);
-  EXPECT_NE(text.find("resolve_cache"), std::string::npos);
+  EXPECT_NE(text.find("stream_memo"), std::string::npos);
 }
 
 TEST(ServeDaemon, ResponsesAreByteIdenticalToTheOneShotCli) {
@@ -540,10 +543,12 @@ TEST(ServeDaemon, SharedResolveCacheWarmsAcrossRequests) {
   RawClient c(d.path());
   ASSERT_TRUE(c.ok());
 
+  // Memory mode: the request's DRAM-cache walks go through the shared
+  // stream memo, and the second identical request replays them.
   const std::string explain =
       R"({"cmd":"explain","target":"stream",)"
-      R"("args":{"scale":0.25,"threads":12,"resolve-cache":"shared",)"
-      R"("format":"json"}})";
+      R"("args":{"scale":0.25,"threads":12,"mode":"cached-nvm",)"
+      R"("resolve-cache":"shared","format":"json"}})";
   const JsonValue cold = c.roundtrip(explain);
   ASSERT_TRUE(cold.find("ok")->as_bool());
   EXPECT_DOUBLE_EQ(cold.find("exit")->as_number(), 0.0);
@@ -555,17 +560,48 @@ TEST(ServeDaemon, SharedResolveCacheWarmsAcrossRequests) {
   // ...and identical to the one-shot CLI run of the same query.
   EXPECT_EQ(cold.find("out")->as_string(),
             cli_stdout({"explain", "stream", "--scale", "0.25", "--threads",
-                        "12", "--resolve-cache", "shared", "--format",
-                        "json"},
+                        "12", "--mode", "cached-nvm", "--resolve-cache",
+                        "shared", "--format", "json"},
                        0));
 
-  // The second request hit the process-lifetime cache.
+  // The second request hit the process-lifetime stream memo.
   const JsonValue stats = c.roundtrip(R"({"cmd":"stats"})");
   const auto inner = json_parse(stats.find("out")->as_string());
   ASSERT_TRUE(inner.value.has_value());
-  const JsonValue* rc = inner.value->find("resolve_cache");
-  ASSERT_NE(rc, nullptr);
-  EXPECT_GT(rc->find("hits")->as_number(), 0.0);
+  const JsonValue* memo = inner.value->find("stream_memo");
+  ASSERT_NE(memo, nullptr);
+  EXPECT_GT(memo->find("hits")->as_number(), 0.0);
+}
+
+TEST(ServeDaemon, CommandsWithoutLanesAnswerWithTheCliStderr) {
+  // The daemon grants epoch-kernel lanes through the command context, not
+  // by adding --intra-jobs to the request: commands that never read it
+  // (list, inspect, ...) must not warn about an unused option.
+  DaemonFixture d(ServeConfig{});
+  RawClient c(d.path());
+  ASSERT_TRUE(c.ok());
+
+  struct Case {
+    const char* request;
+    std::vector<std::string> cli;
+  };
+  const std::vector<Case> cases = {
+      {R"({"cmd":"list"})", {"list"}},
+      {R"({"cmd":"inspect","target":"stream",)"
+       R"("args":{"scale":0.25,"threads":12}})",
+       {"inspect", "stream", "--scale", "0.25", "--threads", "12"}},
+  };
+  for (const Case& k : cases) {
+    const JsonValue r = c.roundtrip(k.request);
+    ASSERT_TRUE(r.find("ok")->as_bool()) << k.request;
+    std::string cli_err;
+    const std::string cli_out = cli_stdout(k.cli, 0, &cli_err);
+    EXPECT_EQ(r.find("out")->as_string(), cli_out) << k.request;
+    EXPECT_EQ(r.find("err")->as_string(), cli_err) << k.request;
+    EXPECT_EQ(r.find("err")->as_string().find("unused option"),
+              std::string::npos)
+        << k.request;
+  }
 }
 
 TEST(ServeDaemon, ConcurrentClientsAllGetTheSameBytes) {

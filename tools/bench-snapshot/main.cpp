@@ -2,11 +2,11 @@
 //
 // `record` replays the harvested Fig. 2 corpora (harness/kernel_bench)
 // through the pre-SoA scalar kernels and the SoA kernels, plus the
-// memoized hot path under each --resolve-cache mode, and writes two
-// schema-versioned JSON documents:
+// stream-memoized hot path (--resolve-cache off vs shared), and writes
+// two schema-versioned JSON documents:
 //
 //   BENCH_epoch.json  — scalar-vs-SoA kernel throughput + speedup
-//   BENCH_sweep.json  — memoized replay throughput per resolve-cache mode
+//   BENCH_sweep.json  — replay throughput per resolve-cache mode
 //
 // Raw seconds do not survive a change of host, so every gated metric is
 // *machine-normalized*: work per calibration unit, where one unit is the
@@ -270,20 +270,17 @@ int cmd_record(bool quick, int repeat, int attempts,
     epoch.set("parity", parity);
   }
 
-  // Sweep snapshot: the memoized hot path per resolve-cache mode (SoA
-  // kernels; this is the configuration sweeps actually run).
+  // Sweep snapshot: the stream-memoized hot path per resolve-cache mode
+  // (SoA kernels).  With a shared cache the first repeat fills the memo
+  // and the later repeats replay its trajectories, as a sweep's cells do.
   std::fprintf(stderr, "bench-snapshot: replaying resolve-cache modes...\n");
   const ReplayResult off = best_of(attempts, [&] {
     return replay_corpora(corpora, repeat, ResolveCacheMode::kOff);
   });
-  const ReplayResult run = best_of(attempts, [&] {
-    return replay_corpora(corpora, repeat, ResolveCacheMode::kPerRun);
-  });
   const ReplayResult shared = best_of(attempts, [&] {
     return replay_corpora(corpora, repeat, ResolveCacheMode::kShared);
   });
-  const bool sweep_parity =
-      off.time_fold == run.time_fold && off.time_fold == shared.time_fold;
+  const bool sweep_parity = off.time_fold == shared.time_fold;
 
   Json sweep;
   sweep.set("schema_version", kSchemaVersion);
@@ -293,12 +290,10 @@ int cmd_record(bool quick, int repeat, int attempts,
   sweep.set("attempts", attempts);
   sweep.set("baseline_unit_s", unit_s);
   sweep.set("off", result_json(off));
-  sweep.set("run", result_json(run));
   sweep.set("shared", result_json(shared));
   {
     Json gate;
     gate.set("epochs_per_unit_off", off.epochs_per_s() * unit_s);
-    gate.set("epochs_per_unit_run", run.epochs_per_s() * unit_s);
     gate.set("epochs_per_unit_shared", shared.epochs_per_s() * unit_s);
     sweep.set("gate", gate);
   }
@@ -316,13 +311,12 @@ int cmd_record(bool quick, int repeat, int attempts,
   std::printf(
       "recorded %s: speedup %.2fx, soa %.1f epochs/unit, parity %s; "
       "intra w8 %.2fx, parity %s; "
-      "sweep off/run/shared %.1f/%.1f/%.1f epochs/unit, parity %s\n",
+      "sweep off/shared %.1f/%.1f epochs/unit, parity %s\n",
       corpus_name.c_str(), ref.seconds / soa.seconds,
       soa.epochs_per_s() * unit_s, epoch_parity ? "ok" : "DIVERGED",
       intra_w8_s > 0.0 ? intra_w1_s / intra_w8_s : 0.0,
       intra_parity ? "ok" : "DIVERGED", off.epochs_per_s() * unit_s,
-      run.epochs_per_s() * unit_s, shared.epochs_per_s() * unit_s,
-      sweep_parity ? "ok" : "DIVERGED");
+      shared.epochs_per_s() * unit_s, sweep_parity ? "ok" : "DIVERGED");
   return (epoch_parity && intra_parity && sweep_parity) ? 0 : 1;
 }
 

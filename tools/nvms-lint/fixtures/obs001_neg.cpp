@@ -13,7 +13,7 @@ void publish(Registry& m, const std::string& prefix) {
   m.counter("app.write_bytes");
   m.histogram("phase.duration_s");
   m.epoch_sample("bw.read_gbs", "dram0", 0.0, 12.5);
-  m.gauge("resolve_cache.hits");     // matches the resolve_cache.* family
+  m.gauge("stream_memo.hits");       // matches the stream_memo.* family
   m.gauge(prefix + ".hit_rate");     // dynamic: skipped by design
 }
 
