@@ -13,6 +13,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <vector>
 
 #include "appfw/app.hpp"
@@ -42,8 +43,22 @@ ParticleSet make_particles(std::size_t n, std::uint64_t seed);
 
 /// Short-range softened gravity via a 3D cell list with periodic
 /// minimum-image distances; forces are pairwise symmetric (Newton's third
-/// law), so total momentum is conserved exactly.  Exposed for testing.
+/// law), so total momentum is conserved exactly.  Each pair within the
+/// cutoff interacts once, whatever the cell grid's width.  Exposed for
+/// testing.
 void cell_list_forces(ParticleSet& s, double cutoff);
+
+/// Separations below which round_near_zero() equals std::round.
+inline constexpr double kRoundNearZeroLimit = 1.5;
+
+/// std::round (halves away from zero) without a libm call, exact for
+/// |d| < kRoundNearZeroLimit.  The force loop's minimum-image shift uses
+/// it whenever all coordinates span less than that limit, which holds
+/// while the particles stay within a quarter box length of the unit cell.
+/// Exposed for testing.
+inline double round_near_zero(double d) {
+  return std::copysign(std::abs(d) >= 0.5 ? 1.0 : 0.0, d);
+}
 
 /// Kick-drift update.
 void leapfrog_step(ParticleSet& s, double dt);

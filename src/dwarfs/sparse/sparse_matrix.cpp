@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "simcore/error.hpp"
 #include "simcore/rng.hpp"
@@ -40,28 +39,34 @@ CsrMatrix make_synthetic_matrix(std::size_t n, std::size_t band,
   CsrMatrix a;
   a.n = n;
   a.row_ptr.push_back(0);
+  std::vector<std::size_t> cols;
+  std::vector<double> vals;
   for (std::size_t i = 0; i < n; ++i) {
-    std::set<std::size_t> cols;
+    // The band plus extra_per_row random columns, sorted and deduplicated.
+    cols.clear();
     const std::size_t lo = i > band ? i - band : 0;
     const std::size_t hi = std::min(n - 1, i + band);
-    for (std::size_t j = lo; j <= hi; ++j) cols.insert(j);
+    for (std::size_t j = lo; j <= hi; ++j) cols.push_back(j);
     for (std::size_t e = 0; e < extra_per_row; ++e) {
-      cols.insert(rng.below(n));
+      cols.push_back(rng.below(n));
     }
+    std::sort(cols.begin(), cols.end());
+    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+    // Off-diagonal values in column order, then the dominant diagonal.
+    vals.assign(cols.size(), 0.0);
     double offdiag_sum = 0.0;
-    std::vector<std::pair<std::size_t, double>> row;
-    for (const std::size_t j : cols) {
-      if (j == i) continue;
-      const double v = rng.uniform(-1.0, 1.0);
-      offdiag_sum += std::abs(v);
-      row.emplace_back(j, v);
+    std::size_t diag = 0;
+    for (std::size_t q = 0; q < cols.size(); ++q) {
+      if (cols[q] == i) {
+        diag = q;
+        continue;
+      }
+      vals[q] = rng.uniform(-1.0, 1.0);
+      offdiag_sum += std::abs(vals[q]);
     }
-    row.emplace_back(i, offdiag_sum + rng.uniform(1.0, 2.0));  // dominance
-    std::sort(row.begin(), row.end());
-    for (const auto& [j, v] : row) {
-      a.col_idx.push_back(j);
-      a.values.push_back(v);
-    }
+    vals[diag] = offdiag_sum + rng.uniform(1.0, 2.0);  // dominance
+    a.col_idx.insert(a.col_idx.end(), cols.begin(), cols.end());
+    a.values.insert(a.values.end(), vals.begin(), vals.end());
     a.row_ptr.push_back(a.col_idx.size());
   }
   a.validate();
@@ -91,39 +96,44 @@ SparseLu sparse_lu_factor(const CsrMatrix& a) {
   lu.l.row_ptr.push_back(0);
   lu.u.row_ptr.push_back(0);
 
-  // Dense working row + sorted active-column set for the symbolic part.
+  // Dense working row; row i's active columns (A's pattern plus fill-in)
+  // are the j in [lo, hi) with active[j] == i.
   std::vector<double> work(n, 0.0);
   std::vector<double> u_diag(n, 0.0);
+  std::vector<std::size_t> active(n, n);
 
   for (std::size_t i = 0; i < n; ++i) {
     // scatter A(i, :)
-    std::set<std::size_t> active;
+    std::size_t lo = n;
+    std::size_t hi = 0;
     for (std::size_t p = a.row_ptr[i]; p < a.row_ptr[i + 1]; ++p) {
-      work[a.col_idx[p]] = a.values[p];
-      active.insert(a.col_idx[p]);
+      const std::size_t j = a.col_idx[p];
+      work[j] = a.values[p];
+      active[j] = i;
+      lo = std::min(lo, j);
+      hi = std::max(hi, j + 1);
     }
-    // eliminate columns k < i in increasing order (fill-in may extend the
-    // active set beyond A's pattern)
-    for (auto it = active.begin(); it != active.end() && *it < i;) {
-      const std::size_t k = *it;
+    // Eliminate the active columns k < i in increasing order; fill-in only
+    // adds columns j > k, which the scan reaches later.
+    for (std::size_t k = lo; k < i && k < hi; ++k) {
+      if (active[k] != i) continue;
       const double pivot = u_diag[k];
       require(std::abs(pivot) > 1e-300, "sparse lu: zero pivot");
       const double lik = work[k] / pivot;
       work[k] = lik;
-      // w -= lik * U(k, j>k)
-      for (std::size_t p = lu.u.row_ptr[k]; p < lu.u.row_ptr[k + 1]; ++p) {
+      // w -= lik * U(k, j>k), in U's row order
+      const std::size_t p1 = lu.u.row_ptr[k + 1];
+      for (std::size_t p = lu.u.row_ptr[k]; p < p1; ++p) {
         const std::size_t j = lu.u.col_idx[p];
         if (j <= k) continue;
-        if (work[j] == 0.0 && active.find(j) == active.end()) {
-          active.insert(j);  // symbolic fill-in
-        }
+        active[j] = i;  // symbolic fill-in
         work[j] -= lik * lu.u.values[p];
       }
-      ++it;
-      while (it != active.end() && *it < k) ++it;  // defensive (sorted set)
+      if (p1 > lu.u.row_ptr[k]) hi = std::max(hi, lu.u.col_idx[p1 - 1] + 1);
     }
-    // gather L(i, <i) and U(i, >=i)
-    for (const std::size_t j : active) {
+    // gather L(i, <i) and U(i, >=i) in column order
+    for (std::size_t j = lo; j < hi; ++j) {
+      if (active[j] != i) continue;
       const double v = work[j];
       work[j] = 0.0;
       if (v == 0.0) continue;

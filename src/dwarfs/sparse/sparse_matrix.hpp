@@ -1,11 +1,12 @@
 // General sparse (CSR) matrices and an up-looking sparse LU factorization
 // with symbolic fill-in — the real numerical core behind the SuperLU
-// proxy (the banded kernel in superlu.hpp remains as the fast reference
-// used by tests).
+// proxy.
 //
 // The factorization is row-wise ("up-looking") without pivoting, which is
 // exact for the diagonally dominant synthetic systems the generator
-// produces (the UF-collection stand-ins of Fig. 3).
+// produces (the UF-collection stand-ins of Fig. 3).  Its floating-point
+// operations and their order are fixed (DESIGN §5): row by row, columns
+// eliminated in increasing order, each update applied in U's row order.
 #pragma once
 
 #include <cstddef>

@@ -33,61 +33,6 @@ SuperLuParams SuperLuParams::from(const AppConfig& cfg) {
   return p;
 }
 
-void banded_lu_factor(std::vector<double>& a, std::size_t n, std::size_t b) {
-  require(a.size() == n * (2 * b + 1), "banded_lu: storage size mismatch");
-  const std::size_t w = 2 * b + 1;
-  // a(i, j) stored at a[i*w + (j - i + b)] for |i-j| <= b.
-  for (std::size_t k = 0; k < n; ++k) {
-    const double piv = a[k * w + b];
-    require(std::abs(piv) > 1e-300, "banded_lu: zero pivot");
-    const std::size_t iend = std::min(n, k + b + 1);
-    for (std::size_t i = k + 1; i < iend; ++i) {
-      const std::size_t off_ik = k + b - i;  // column k in row i
-      const double lik = a[i * w + off_ik] / piv;
-      a[i * w + off_ik] = lik;  // store L
-      const std::size_t jend = std::min(n, k + b + 1);
-      for (std::size_t j = k + 1; j < jend; ++j) {
-        a[i * w + (j + b - i)] -= lik * a[k * w + (j + b - k)];
-      }
-    }
-  }
-}
-
-std::vector<double> banded_lu_solve(const std::vector<double>& a,
-                                    std::size_t n, std::size_t b,
-                                    std::vector<double> rhs) {
-  require(rhs.size() == n, "banded_lu_solve: rhs size mismatch");
-  const std::size_t w = 2 * b + 1;
-  // forward: L y = rhs (unit diagonal)
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j0 = i > b ? i - b : 0;
-    for (std::size_t j = j0; j < i; ++j)
-      rhs[i] -= a[i * w + (j + b - i)] * rhs[j];
-  }
-  // backward: U x = y
-  for (std::size_t ii = n; ii-- > 0;) {
-    const std::size_t jend = std::min(n, ii + b + 1);
-    for (std::size_t j = ii + 1; j < jend; ++j)
-      rhs[ii] -= a[ii * w + (j + b - ii)] * rhs[j];
-    rhs[ii] /= a[ii * w + b];
-  }
-  return rhs;
-}
-
-std::vector<double> banded_matvec(const std::vector<double>& a, std::size_t n,
-                                  std::size_t b, const std::vector<double>& x) {
-  require(x.size() == n, "banded_matvec: x size mismatch");
-  const std::size_t w = 2 * b + 1;
-  std::vector<double> y(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j0 = i > b ? i - b : 0;
-    const std::size_t j1 = std::min(n, i + b + 1);
-    for (std::size_t j = j0; j < j1; ++j)
-      y[i] += a[i * w + (j + b - i)] * x[j];
-  }
-  return y;
-}
-
 AppResult SuperLuApp::run(AppContext& ctx) const {
   const auto p = SuperLuParams::from(ctx.cfg());
   const std::uint64_t F = p.dataset.footprint;

@@ -10,9 +10,10 @@
 // On DRAM stage 1 is ~20% of the execution; on uncached NVM it extends to
 // ~70% — this phase flip is the paper's headline write-throttling result.
 //
-// Real numerics: an actual banded LU factorization (no pivoting,
-// diagonally dominant) plus forward/backward solves on the host; tests
-// verify the residual of A x = b.
+// Real numerics: an up-looking sparse LU (symbolic fill-in, no pivoting)
+// of a synthetic diagonally dominant band-plus-random matrix, plus the
+// forward/backward solves (sparse_matrix.hpp); the checksum is the
+// residual ||A x - b|| plus the factors' fill ratio.
 //
 // The five University of Florida collection datasets used in Fig. 3 are
 // provided as presets with footprints scaled 1/1024 from the published
@@ -23,7 +24,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "appfw/app.hpp"
 
@@ -62,17 +62,6 @@ struct SuperLuParams {
 
   static SuperLuParams from(const AppConfig& cfg);
 };
-
-/// Host banded LU: factors `a` (banded storage, (2b+1) diagonals) in
-/// place; exposed for unit tests.
-void banded_lu_factor(std::vector<double>& a, std::size_t n, std::size_t b);
-/// Solve L U x = rhs with the factored banded matrix.
-std::vector<double> banded_lu_solve(const std::vector<double>& a,
-                                    std::size_t n, std::size_t b,
-                                    std::vector<double> rhs);
-/// Multiply the *original* banded matrix by x (for residual checks).
-std::vector<double> banded_matvec(const std::vector<double>& a, std::size_t n,
-                                  std::size_t b, const std::vector<double>& x);
 
 class SuperLuApp final : public App {
  public:

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <utility>
+#include <vector>
 
 #include "appfw/result.hpp"
 
@@ -16,56 +18,92 @@ FtParams FtParams::from(const AppConfig& cfg) {
   return p;
 }
 
-void fft1d(std::complex<double>* data, std::size_t n, int sign) {
+namespace {
+
+/// What a length-n transform of one sign reuses across calls: the
+/// bit-reversal swaps, and every stage's twiddles.
+struct FftPlan {
+  std::size_t n = 0;
+  std::vector<std::pair<std::size_t, std::size_t>> swaps;
+  /// Stage `len` (2, 4, ..., n) owns tw[len/2 - 1 .. len - 2]: w = 1, then
+  /// w *= wlen per butterfly, the running product each butterfly group
+  /// would otherwise recompute.
+  std::vector<std::complex<double>> tw;
+};
+
+FftPlan make_plan(std::size_t n, int sign) {
   require(n > 0 && (n & (n - 1)) == 0, "fft1d: n must be a power of two");
-  // bit-reversal permutation
+  FftPlan plan;
+  plan.n = n;
   for (std::size_t i = 1, j = 0; i < n; ++i) {
     std::size_t bit = n >> 1;
     for (; j & bit; bit >>= 1) j ^= bit;
     j ^= bit;
-    if (i < j) std::swap(data[i], data[j]);
+    if (i < j) plan.swaps.emplace_back(i, j);
   }
+  plan.tw.reserve(n);
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const double ang =
         static_cast<double>(sign) * 2.0 * std::numbers::pi /
         static_cast<double>(len);
     const std::complex<double> wlen(std::cos(ang), std::sin(ang));
+    std::complex<double> w(1.0, 0.0);
+    for (std::size_t k = 0; k < len / 2; ++k) {
+      plan.tw.push_back(w);
+      w *= wlen;
+    }
+  }
+  return plan;
+}
+
+void run_plan(const FftPlan& plan, std::complex<double>* data) {
+  const std::size_t n = plan.n;
+  for (const auto& [i, j] : plan.swaps) std::swap(data[i], data[j]);
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
+    const std::complex<double>* tw = plan.tw.data() + (half - 1);
     for (std::size_t i = 0; i < n; i += len) {
-      std::complex<double> w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const auto u = data[i + k];
-        const auto v = data[i + k + len / 2] * w;
-        data[i + k] = u + v;
-        data[i + k + len / 2] = u - v;
-        w *= wlen;
+      std::complex<double>* lo = data + i;
+      std::complex<double>* hi = lo + half;
+      for (std::size_t k = 0; k < half; ++k) {
+        const auto u = lo[k];
+        const auto v = hi[k] * tw[k];
+        lo[k] = u + v;
+        hi[k] = u - v;
       }
     }
   }
 }
 
+}  // namespace
+
+void fft1d(std::complex<double>* data, std::size_t n, int sign) {
+  run_plan(make_plan(n, sign), data);
+}
+
 void fft3d(std::vector<std::complex<double>>& cube, std::size_t n,
            int sign) {
   require(cube.size() == n * n * n, "fft3d: cube size mismatch");
+  const FftPlan plan = make_plan(n, sign);
   std::vector<std::complex<double>> line(n);
   const auto idx = [n](std::size_t x, std::size_t y, std::size_t z) {
     return x + n * (y + n * z);
   };
   // x lines (contiguous)
   for (std::size_t z = 0; z < n; ++z)
-    for (std::size_t y = 0; y < n; ++y)
-      fft1d(&cube[idx(0, y, z)], n, sign);
+    for (std::size_t y = 0; y < n; ++y) run_plan(plan, &cube[idx(0, y, z)]);
   // y lines (stride n)
   for (std::size_t z = 0; z < n; ++z)
     for (std::size_t x = 0; x < n; ++x) {
       for (std::size_t y = 0; y < n; ++y) line[y] = cube[idx(x, y, z)];
-      fft1d(line.data(), n, sign);
+      run_plan(plan, line.data());
       for (std::size_t y = 0; y < n; ++y) cube[idx(x, y, z)] = line[y];
     }
   // z lines (stride n*n)
   for (std::size_t y = 0; y < n; ++y)
     for (std::size_t x = 0; x < n; ++x) {
       for (std::size_t z = 0; z < n; ++z) line[z] = cube[idx(x, y, z)];
-      fft1d(line.data(), n, sign);
+      run_plan(plan, line.data());
       for (std::size_t z = 0; z < n; ++z) cube[idx(x, y, z)] = line[z];
     }
 }
@@ -97,13 +135,18 @@ AppResult FtApp::run(AppContext& ctx) const {
 
   std::complex<double> chk{0.0, 0.0};
   std::vector<std::complex<double>> work(real_elems);
+  // Element i turns by a phase that depends on i % kPhases only.
+  constexpr std::size_t kPhases = 1024;
+  std::vector<std::complex<double>> turn(kPhases);
   for (int it = 1; it <= p.iterations; ++it) {
     // evolve: u1 = u0 * exp(i * t * k^2) — pointwise, stream both arrays.
-    for (std::size_t i = 0; i < real_elems; ++i) {
+    for (std::size_t q = 0; q < kPhases; ++q) {
       const double phase =
-          1e-6 * static_cast<double>(it) * static_cast<double>(i % 1024);
-      work[i] = host[i] * std::complex<double>(std::cos(phase),
-                                               std::sin(phase));
+          1e-6 * static_cast<double>(it) * static_cast<double>(q);
+      turn[q] = std::complex<double>(std::cos(phase), std::sin(phase));
+    }
+    for (std::size_t i = 0; i < real_elems; ++i) {
+      work[i] = host[i] * turn[i % kPhases];
     }
     ctx.run(PhaseBuilder("evolve")
                 .threads(threads)

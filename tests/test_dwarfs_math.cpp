@@ -1,12 +1,16 @@
 // Numerical-kernel correctness tests for the dwarf mini-apps: the FFT,
-// blocked GEMM, banded LU, multigrid, AMR wave, and Lagrangian hydro host
-// kernels all compute real answers that are verified here against
-// reference implementations and physical invariants.
+// blocked GEMM, multigrid, AMR wave, N-body cell list and Lagrangian hydro
+// host kernels all compute real answers that are verified here against
+// reference implementations and physical invariants.  The FFT and cell
+// list are also compared bit for bit with their oracles in
+// kernel_oracles.hpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <numbers>
 #include <vector>
 
@@ -14,13 +18,42 @@
 #include "dwarfs/laghos/laghos.hpp"
 #include "dwarfs/nbody/hacc.hpp"
 #include "dwarfs/sgrid/hypre.hpp"
-#include "dwarfs/sparse/superlu.hpp"
 #include "dwarfs/spectral/ft.hpp"
 #include "dwarfs/ugrid/boxlib.hpp"
+#include "kernel_oracles.hpp"
+#include "simcore/error.hpp"
 #include "simcore/rng.hpp"
 
 namespace nvms {
 namespace {
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Success when `got` and `want` hold the same doubles bit for bit.
+::testing::AssertionResult BitIdentical(const std::vector<double>& got,
+                                        const std::vector<double>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << got.size() << " != " << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (bits(got[i]) != bits(want[i])) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << std::hexfloat << got[i]
+             << " != " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult BitIdentical(
+    const std::vector<std::complex<double>>& got,
+    const std::vector<std::complex<double>>& want) {
+  std::vector<double> g, w;
+  for (const auto& c : got) g.insert(g.end(), {c.real(), c.imag()});
+  for (const auto& c : want) w.insert(w.end(), {c.real(), c.imag()});
+  return BitIdentical(g, w);
+}
 
 // ---------- FFT ----------------------------------------------------------
 
@@ -103,6 +136,34 @@ TEST(Fft3d, DeltaTransformsToConstant) {
   }
 }
 
+TEST(Fft, MatchesOracleBitForBit) {
+  for (std::size_t n = 1; n <= 256; n *= 2) {
+    for (const int sign : {-1, +1}) {
+      Rng rng(n * 3 + static_cast<std::size_t>(sign + 1));
+      std::vector<std::complex<double>> data(n);
+      for (auto& c : data) c = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+      auto want = data;
+      fft1d(data.data(), n, sign);
+      oracle::fft1d(want.data(), n, sign);
+      EXPECT_TRUE(BitIdentical(data, want)) << "n=" << n << " sign=" << sign;
+    }
+  }
+}
+
+TEST(Fft3d, MatchesOracleBitForBit) {
+  for (const std::size_t n : {8, 32}) {
+    for (const int sign : {-1, +1}) {
+      Rng rng(n + static_cast<std::size_t>(sign + 1));
+      std::vector<std::complex<double>> cube(n * n * n);
+      for (auto& c : cube) c = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+      auto want = cube;
+      fft3d(cube, n, sign);
+      oracle::fft3d(want, n, sign);
+      EXPECT_TRUE(BitIdentical(cube, want)) << "n=" << n << " sign=" << sign;
+    }
+  }
+}
+
 TEST(Fft3d, RoundTrip) {
   const std::size_t n = 8;
   Rng rng(3);
@@ -150,6 +211,68 @@ TEST(Gemm, RejectsBadBlock) {
 }
 
 // ---------- banded LU ----------------------------------------------------
+//
+// A dense-band LU (no pivoting) with its solve and mat-vec, kept here as a
+// small numerics exercise; the SuperLU proxy itself runs the up-looking
+// sparse LU of sparse_matrix.hpp.
+
+/// Factors `a` (banded storage, (2b+1) diagonals) in place.
+void banded_lu_factor(std::vector<double>& a, std::size_t n, std::size_t b) {
+  require(a.size() == n * (2 * b + 1), "banded_lu: storage size mismatch");
+  const std::size_t w = 2 * b + 1;
+  // a(i, j) stored at a[i*w + (j - i + b)] for |i-j| <= b.
+  for (std::size_t k = 0; k < n; ++k) {
+    const double piv = a[k * w + b];
+    require(std::abs(piv) > 1e-300, "banded_lu: zero pivot");
+    const std::size_t iend = std::min(n, k + b + 1);
+    for (std::size_t i = k + 1; i < iend; ++i) {
+      const std::size_t off_ik = k + b - i;  // column k in row i
+      const double lik = a[i * w + off_ik] / piv;
+      a[i * w + off_ik] = lik;  // store L
+      const std::size_t jend = std::min(n, k + b + 1);
+      for (std::size_t j = k + 1; j < jend; ++j) {
+        a[i * w + (j + b - i)] -= lik * a[k * w + (j + b - k)];
+      }
+    }
+  }
+}
+
+/// Solve L U x = rhs with the factored banded matrix.
+std::vector<double> banded_lu_solve(const std::vector<double>& a,
+                                    std::size_t n, std::size_t b,
+                                    std::vector<double> rhs) {
+  require(rhs.size() == n, "banded_lu_solve: rhs size mismatch");
+  const std::size_t w = 2 * b + 1;
+  // forward: L y = rhs (unit diagonal)
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t j0 = i > b ? i - b : 0;
+    for (std::size_t j = j0; j < i; ++j)
+      rhs[i] -= a[i * w + (j + b - i)] * rhs[j];
+  }
+  // backward: U x = y
+  for (std::size_t ii = n; ii-- > 0;) {
+    const std::size_t jend = std::min(n, ii + b + 1);
+    for (std::size_t j = ii + 1; j < jend; ++j)
+      rhs[ii] -= a[ii * w + (j + b - ii)] * rhs[j];
+    rhs[ii] /= a[ii * w + b];
+  }
+  return rhs;
+}
+
+/// Multiply the *original* banded matrix by x (for residual checks).
+std::vector<double> banded_matvec(const std::vector<double>& a, std::size_t n,
+                                  std::size_t b, const std::vector<double>& x) {
+  require(x.size() == n, "banded_matvec: x size mismatch");
+  const std::size_t w = 2 * b + 1;
+  std::vector<double> y(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t j0 = i > b ? i - b : 0;
+    const std::size_t j1 = std::min(n, i + b + 1);
+    for (std::size_t j = j0; j < j1; ++j)
+      y[i] += a[i * w + (j + b - i)] * x[j];
+  }
+  return y;
+}
 
 class BandShapes
     : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
@@ -291,6 +414,107 @@ TEST(CellList, PeriodicImageInteracts) {
   // force along x, equal and opposite
   EXPECT_NE(s.acc[0], 0.0);
   EXPECT_NEAR(s.acc[0], -s.acc[3], 1e-12);
+}
+
+TEST(CellList, PairForceMatchesAnalyticAtEveryGridWidth) {
+  // Cutoffs above 1/3 leave a cell grid of 2 (0.4) or 1 (0.6), where the
+  // -1 and +1 neighbour offsets wrap onto the same cell; the pair must
+  // still interact exactly once.
+  for (const double cutoff : {0.1, 0.3, 0.4, 0.6}) {
+    ParticleSet s;
+    s.pos = {0.47, 0.5, 0.5, 0.53, 0.5, 0.5};
+    s.vel.assign(6, 0.0);
+    s.acc.assign(6, 0.0);
+    cell_list_forces(s, cutoff);
+    const double d = s.pos[3] - s.pos[0];
+    const double r2 = 1e-4 + d * d;
+    const double pair = d / (r2 * std::sqrt(r2));
+    EXPECT_NEAR(s.acc[0] / pair, 1.0, 1e-12) << "cutoff " << cutoff;
+    EXPECT_NEAR(s.acc[3] / pair, -1.0, 1e-12) << "cutoff " << cutoff;
+    for (const std::size_t k : {1, 2, 4, 5}) {
+      EXPECT_EQ(s.acc[k], 0.0) << "cutoff " << cutoff << " k=" << k;
+    }
+  }
+}
+
+/// Runs `steps` force + leapfrog steps with the library kernel and with
+/// the oracle and expects identical bits after every step.
+void expect_matches_oracle(ParticleSet s, double cutoff, int steps) {
+  ParticleSet want = s;
+  for (int step = 0; step < steps; ++step) {
+    cell_list_forces(s, cutoff);
+    oracle::cell_list_forces(want, cutoff);
+    ASSERT_TRUE(BitIdentical(s.acc, want.acc)) << "step " << step;
+    leapfrog_step(s, 1e-3);
+    leapfrog_step(want, 1e-3);
+  }
+  EXPECT_TRUE(BitIdentical(s.pos, want.pos));
+  EXPECT_TRUE(BitIdentical(s.vel, want.vel));
+}
+
+TEST(CellList, MatchesOracleBitForBit) {
+  for (const std::uint64_t seed : {7u, 8u, 12345u}) {
+    for (const double cutoff : {0.1, 0.15, 0.3}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << " cutoff " << cutoff);
+      expect_matches_oracle(make_particles(2000, seed), cutoff, 8);
+    }
+  }
+}
+
+TEST(CellList, MatchesOracleWithFarPeriodicImages) {
+  // Particles whole box lengths outside the unit cell: separations reach
+  // |d| >= 1.5, beyond round_near_zero()'s exact range, so the kernel must
+  // take std::round for them.
+  ParticleSet s = make_particles(2000, 9);
+  for (std::size_t i = 0; i < s.count(); i += 3) {
+    for (std::size_t k = 0; k < 3; ++k) s.pos[3 * i + k] += 3.0;
+  }
+  for (std::size_t i = 1; i < s.count(); i += 7) s.pos[3 * i] -= 2.0;
+  expect_matches_oracle(s, 0.1, 8);
+}
+
+TEST(CellList, SeparationTiedAtOneAndAHalfRoundsAwayFromZero) {
+  // d = +-1.5 exactly: std::round gives +-2, so the minimum image is -+0.5
+  // along x, while the range-limited rounding would give +-0.5.
+  for (const double x1 : {1.5, -1.5}) {
+    ParticleSet s;
+    s.pos = {0.0, 0.5, 0.5, x1, 0.5, 0.5};
+    s.vel.assign(6, 0.0);
+    s.acc.assign(6, 0.0);
+    cell_list_forces(s, 0.6);
+    const double r2 = 1e-4 + 0.25;
+    const double pair = std::copysign(0.5, -x1) / (r2 * std::sqrt(r2));
+    EXPECT_NEAR(s.acc[0] / pair, 1.0, 1e-12) << "x1 " << x1;
+    EXPECT_NEAR(s.acc[3] / pair, -1.0, 1e-12) << "x1 " << x1;
+  }
+}
+
+TEST(RoundNearZero, MatchesStdRoundOnItsRange) {
+  const double limit = kRoundNearZeroLimit;
+  // Ties round away from zero; zeros keep their sign.
+  EXPECT_EQ(round_near_zero(0.5), 1.0);
+  EXPECT_EQ(round_near_zero(-0.5), -1.0);
+  EXPECT_EQ(bits(round_near_zero(0.0)), bits(0.0));
+  EXPECT_EQ(bits(round_near_zero(-0.0)), bits(-0.0));
+  EXPECT_EQ(bits(round_near_zero(-0.25)), bits(-0.0));
+  // Both neighbours of the ties and of +-1, and the largest magnitudes
+  // below the limit.
+  for (const double at : {0.5, -0.5, 1.0, -1.0}) {
+    for (const double v :
+         {at, std::nextafter(at, 0.0), std::nextafter(at, 2.0 * at)}) {
+      EXPECT_EQ(bits(round_near_zero(v)), bits(std::round(v))) << v;
+    }
+  }
+  for (const double v :
+       {std::nextafter(limit, 0.0), std::nextafter(-limit, 0.0)}) {
+    EXPECT_EQ(bits(round_near_zero(v)), bits(std::round(v))) << v;
+  }
+  Rng rng(5);
+  for (int i = 0; i < 100000; ++i) {
+    const double v = rng.uniform(-limit, limit);
+    ASSERT_EQ(bits(round_near_zero(v)), bits(std::round(v))) << v;
+  }
 }
 
 // ---------- Lagrangian hydro --------------------------------------------

@@ -7,7 +7,10 @@
 // behaviour (Fig. 3), and write-aware placement (Fig. 12).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <map>
+#include <sstream>
 #include <string>
 
 #include "harness/registry.hpp"
@@ -94,6 +97,102 @@ TEST_P(AllApps, ScalingDownTheProblemShrinksFootprint) {
   const auto r_small = run_app(GetParam(), Mode::kUncachedNvm, small);
   const auto r_full = run_app(GetParam(), Mode::kUncachedNvm, base_cfg());
   EXPECT_LT(r_small.footprint, r_full.footprint);
+}
+
+// Every app's checksum, runtime and FoM at base_cfg(), bit for bit, in each
+// memory mode.  The host kernels promise a fixed floating-point operation
+// order (DESIGN §5), so a kernel rewrite that reorders or changes a single
+// operation fails here even when the result still looks plausible.
+struct PinnedOutputs {
+  double checksum;
+  double runtime;
+  double fom;
+};
+
+const std::map<std::string, PinnedOutputs>& pinned_outputs() {
+  // Key: "<app>/<mode>".
+  static const std::map<std::string, PinnedOutputs> pins = {
+      {"hacc/dram-only",
+       {0x1.72147e8e6f14ap+20, 0x1.ed38c2a116ec7p+2, 0x1.ed38c2a116ec7p+2}},
+      {"hacc/cached-nvm",
+       {0x1.72147e8e6f14ap+20, 0x1.ed38c2a116ec7p+2, 0x1.ed38c2a116ec7p+2}},
+      {"hacc/uncached-nvm",
+       {0x1.72147e8e6f14ap+20, 0x1.ed38c2a116ec7p+2, 0x1.ed38c2a116ec7p+2}},
+      {"laghos/dram-only",
+       {-0x1.7ebb79a2fb726p-5, 0x1.1ac80f44bd6a4p+0, 0x1.1ac80f44bd6a4p+0}},
+      {"laghos/cached-nvm",
+       {-0x1.7ebb79a2fb726p-5, 0x1.1b66331193c86p+0, 0x1.1b66331193c86p+0}},
+      {"laghos/uncached-nvm",
+       {-0x1.7ebb79a2fb726p-5, 0x1.5edd872ad02c4p+0, 0x1.5edd872ad02c4p+0}},
+      {"scalapack/dram-only",
+       {0x1.be9a7c1f5e774p+9, 0x1.c8f504ab6f99ep-6, 0x1.c8f504ab6f99ep-6}},
+      {"scalapack/cached-nvm",
+       {0x1.be9a7c1f5e774p+9, 0x1.cf3d1029cb013p-6, 0x1.cf3d1029cb013p-6}},
+      {"scalapack/uncached-nvm",
+       {0x1.be9a7c1f5e774p+9, 0x1.3988c8fef5b1p-4, 0x1.3988c8fef5b1p-4}},
+      {"xsbench/dram-only",
+       {0x1.1a17341896ce2p+23, 0x1.9ee1a0067b868p-1, 0x1.401f243p+25}},
+      {"xsbench/cached-nvm",
+       {0x1.1a17341896ce2p+23, 0x1.c2f53eaf67454p-1, 0x1.26830cc7d0f18p+25}},
+      {"xsbench/uncached-nvm",
+       {0x1.1a17341896ce2p+23, 0x1.cb3b9139fc057p+1, 0x1.21348ac787878p+23}},
+      {"hypre/dram-only",
+       {0x1.62ed39930898bp-1, 0x1.01b10d67abe74p-3, 0x1.01b10d67abe74p-3}},
+      {"hypre/cached-nvm",
+       {0x1.62ed39930898bp-1, 0x1.59d13bc9c80d4p-3, 0x1.59d13bc9c80d4p-3}},
+      {"hypre/uncached-nvm",
+       {0x1.62ed39930898bp-1, 0x1.1a9be4ff2f6d3p-1, 0x1.1a9be4ff2f6d3p-1}},
+      {"superlu/dram-only",
+       {0x1.b9903d8a1920fp+2, 0x1.f75d16546f426p-6, 0x1.df36c7c8dbb89p+18}},
+      {"superlu/cached-nvm",
+       {0x1.b9903d8a1920fp+2, 0x1.00f774a9d4a1p-5, 0x1.d55bc0341ac62p+18}},
+      {"superlu/uncached-nvm",
+       {0x1.b9903d8a1920fp+2, 0x1.333ec0684ad64p-3, 0x1.888d1bdc24128p+16}},
+      {"boxlib/dram-only",
+       {0x1.b544bd68389fcp+8, 0x1.d5e61b31ef6bcp-6, 0x1.d5e61b31ef6bcp-6}},
+      {"boxlib/cached-nvm",
+       {0x1.b544bd68389fcp+8, 0x1.0307be6137d94p-5, 0x1.0307be6137d94p-5}},
+      {"boxlib/uncached-nvm",
+       {0x1.b544bd68389fcp+8, 0x1.0ac0021f8690ap-2, 0x1.0ac0021f8690ap-2}},
+      {"ft/dram-only",
+       {-0x1.9ced47b14da7cp+7, 0x1.e3efbf465f3a4p-4, 0x1.9f39e00223567p+16}},
+      {"ft/cached-nvm",
+       {-0x1.9ced47b14da7cp+7, 0x1.ff0e4775a2ad1p-4, 0x1.893128d0e172cp+16}},
+      {"ft/uncached-nvm",
+       {-0x1.9ced47b14da7cp+7, 0x1.747752266821bp+0, 0x1.0dbf2cc081cd8p+13}},
+  };
+  return pins;
+}
+
+std::string hex(double v) {
+  std::ostringstream os;
+  os << std::hexfloat << v;
+  return os.str();
+}
+
+TEST_P(AllApps, OutputsPinnedBitForBit) {
+  for (Mode mode : kAllModes) {
+    const std::string key = GetParam() + "/" + to_string(mode);
+    const auto r = run_app(GetParam(), mode, base_cfg());
+    const auto it = pinned_outputs().find(key);
+    if (it == pinned_outputs().end()) {
+      ADD_FAILURE() << "no pin for " << key << "; observed {"
+                    << hex(r.checksum) << ", " << hex(r.runtime) << ", "
+                    << hex(r.fom) << "}";
+      continue;
+    }
+    const PinnedOutputs& pin = it->second;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.checksum),
+              std::bit_cast<std::uint64_t>(pin.checksum))
+        << key << " checksum " << hex(r.checksum) << " != "
+        << hex(pin.checksum);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.runtime),
+              std::bit_cast<std::uint64_t>(pin.runtime))
+        << key << " runtime " << hex(r.runtime) << " != " << hex(pin.runtime);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.fom),
+              std::bit_cast<std::uint64_t>(pin.fom))
+        << key << " fom " << hex(r.fom) << " != " << hex(pin.fom);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(EveryDwarf, AllApps,

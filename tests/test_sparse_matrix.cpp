@@ -1,14 +1,51 @@
 // Sparse CSR matrix and up-looking LU tests: structure validation, fill-in
-// accounting, and solve residuals across pattern shapes.
+// accounting, solve residuals across pattern shapes, and bit-for-bit
+// agreement of the generator and factorization with their oracles in
+// kernel_oracles.hpp.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "dwarfs/sparse/sparse_matrix.hpp"
+#include "kernel_oracles.hpp"
 #include "simcore/error.hpp"
 
 namespace nvms {
 namespace {
+
+/// Success when both matrices have the same pattern and the same value
+/// bits.
+::testing::AssertionResult BitIdentical(const CsrMatrix& got,
+                                        const CsrMatrix& want) {
+  if (got.n != want.n || got.row_ptr != want.row_ptr ||
+      got.col_idx != want.col_idx) {
+    return ::testing::AssertionFailure() << "patterns differ";
+  }
+  for (std::size_t p = 0; p < got.values.size(); ++p) {
+    if (std::bit_cast<std::uint64_t>(got.values[p]) !=
+        std::bit_cast<std::uint64_t>(want.values[p])) {
+      return ::testing::AssertionFailure()
+             << "value " << p << ": " << std::hexfloat << got.values[p]
+             << " != " << want.values[p];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+void expect_matches_oracle(std::size_t n, std::size_t band,
+                           std::size_t extra, std::uint64_t seed) {
+  const auto a = make_synthetic_matrix(n, band, extra, seed);
+  ASSERT_TRUE(
+      BitIdentical(a, oracle::make_synthetic_matrix(n, band, extra, seed)));
+  const auto lu = sparse_lu_factor(a);
+  const auto want = oracle::sparse_lu_factor(a);
+  EXPECT_TRUE(BitIdentical(lu.l, want.l));
+  EXPECT_TRUE(BitIdentical(lu.u, want.u));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(lu.fill_ratio),
+            std::bit_cast<std::uint64_t>(want.fill_ratio));
+}
 
 double residual(const CsrMatrix& a, const std::vector<double>& x,
                 const std::vector<double>& b) {
@@ -77,6 +114,11 @@ TEST_P(LuShapes, FactorSolveResidualSmall) {
   EXPECT_GE(lu.fill_ratio, 0.5);
 }
 
+TEST_P(LuShapes, MatchesOracleBitForBit) {
+  const auto [n, band, extra] = GetParam();
+  expect_matches_oracle(n, band, extra, n * 13 + band);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Patterns, LuShapes,
     ::testing::Values(std::make_tuple(32, 2, 0),
@@ -114,6 +156,15 @@ TEST(SparseLu, ReconstructsA) {
       }
       EXPECT_NEAR(sum, a.at(i, j), 1e-9) << i << "," << j;
     }
+  }
+}
+
+TEST(SparseLu, SuperLuProblemMatchesOracleBitForBit) {
+  // The SuperLU app's host problem (real_n 700, real_band 24, two random
+  // entries per row) at three seeds.
+  for (const std::uint64_t seed : {7u, 8u, 12345u}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    expect_matches_oracle(700, 24, 2, seed);
   }
 }
 
