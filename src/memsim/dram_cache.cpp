@@ -67,6 +67,7 @@ DramCache::DramCache(const CacheParams& params) : params_(params) {
   sets_mod_.init(sets_);
   tags_.assign(sets_ / sample_mod_, kEmpty);
   dirty_.assign(tags_.size(), 0);
+  unsettled_.assign((tags_.size() + 63) / 64, 0);
   // Root of the history digest: everything besides the access sequence
   // that the walk outcomes depend on.
   chain0_.fold(params_.line);
@@ -275,7 +276,8 @@ Rng DramCache::block_rng(std::uint64_t block) const {
 //     shared budget cutoff are exactly the serial ones.
 // Counters are per-shard and folded in fixed slot order after the
 // barrier; being exact integer sums over disjoint slots, the totals are
-// width-independent by construction.
+// width-independent by construction.  First-touch walks (below) never
+// shard: they touch each distinct line at most once.
 CachedStreamOutcome DramCache::walk_soa(const StreamDesc& stream,
                                         std::uint64_t base,
                                         std::uint64_t size) {
@@ -342,21 +344,77 @@ CachedStreamOutcome DramCache::walk_soa(const StreamDesc& stream,
     const std::uint64_t first = (base_line + smask) & ~smask;
     const std::uint64_t m_total =
         first < end_line ? ((end_line - first - 1) >> sample_shift_) + 1 : 0;
+    const std::uint64_t slot0 = sets_mod_.mod(first) >> sample_shift_;
+    const std::uint64_t R = std::min<std::uint64_t>(nslots, m_total);
+    const std::uint64_t B =
+        std::min<std::uint64_t>(static_cast<std::uint64_t>(kRandomBlocks), R);
+    // Deterministic apportionment of the n draws by index-space share
+    // (128-bit: n * F can exceed 64 bits for huge streams).
+    const auto draws_before = [&](std::uint64_t Fx) {
+      __extension__ typedef unsigned __int128 u128;
+      return static_cast<std::uint64_t>(static_cast<u128>(n) * Fx / m_total);
+    };
     if (m_total == 0) {
       // Degenerate: the buffer spans no sampled line, so the snap/clamp
       // resolves every draw to the nearest sampled line below the buffer
-      // — n identical touches, no draws consumed.
+      // — n identical touches, no draws consumed.  The first touch leaves
+      // tag == M (and dirty set for a write), so the other n - 1 are
+      // hits that change nothing.
       const std::uint64_t M = base_line & ~smask;
-      const std::uint64_t slot = sets_mod_.mod(M) >> sample_shift_;
-      for (std::uint64_t i = 0; i < n; ++i) {
-        touch_slot(slot, M, n_hit, n_miss, n_evict, n_cold);
+      touch_slot(sets_mod_.mod(M) >> sample_shift_, M, n_hit, n_miss,
+                 n_evict, n_cold);
+      n_hit += n - 1;
+    } else if (m_total <= nslots && n >= m_total) {
+      // First-touch walk.  The sampled lines fit the cache, so R ==
+      // m_total, F(x) == x and u decodes to r = u, k = 0: line j is the
+      // only line slot (slot0 + j) mod nslots sees in this walk.  Its
+      // first touch decides hit, miss, evict or cold and leaves the slot
+      // settled (tag == line, dirty for a write); every later touch is a
+      // hit that changes nothing.  So mark the unsettled slots — tag
+      // differs, or a write meets a clean line — draw each block only
+      // until its marked slots are all touched, and count every other
+      // draw as a hit.  The unconsumed draws belong to this walk's
+      // block_rng(b), which nothing else reads; blocks touch disjoint
+      // slots, so their order is free.  The n >= m_total guard keeps the
+      // O(m_total) mark scan off walks that draw fewer touches than the
+      // buffer has lines.  No lanes: the work is bounded by the buffer's
+      // lines, and a hand-off costs more than the walk.
+      std::uint64_t* const unsettled = unsettled_.data();
+      std::fill_n(unsettled, (m_total + 63) >> 6, 0);
+      for (std::uint64_t b = 0; b < B; ++b) {
+        const std::uint64_t lo = R * b / B;
+        const std::uint64_t hi = R * (b + 1) / B;
+        const std::uint64_t d_hi = draws_before(hi);
+        std::uint64_t open = 0;
+        std::uint64_t slot = slot0 + lo;
+        if (slot >= nslots) slot -= nslots;
+        for (std::uint64_t j = lo; j < hi; ++j) {
+          const std::uint64_t line = first + (j << sample_shift_);
+          if (tags[slot] != line || (is_write && dirty[slot] == 0)) {
+            unsettled[j >> 6] |= 1ull << (j & 63);
+            ++open;
+          }
+          if (++slot == nslots) slot = 0;
+        }
+        Rng rng = block_rng(b);
+        std::uint64_t i = draws_before(lo);
+        for (; open > 0 && i < d_hi; ++i) {
+          const std::uint64_t u = lo + rng.below(hi - lo);
+          const std::uint64_t bit = 1ull << (u & 63);
+          if ((unsettled[u >> 6] & bit) == 0) {
+            ++n_hit;
+            continue;
+          }
+          unsettled[u >> 6] &= ~bit;
+          --open;
+          std::uint64_t s = slot0 + u;
+          if (s >= nslots) s -= nslots;
+          touch_slot(s, first + (u << sample_shift_), n_hit, n_miss, n_evict,
+                     n_cold);
+        }
+        n_hit += d_hi - i;
       }
     } else {
-      const std::uint64_t slot0 = sets_mod_.mod(first) >> sample_shift_;
-      const std::uint64_t R = std::min<std::uint64_t>(nslots, m_total);
-      const std::uint64_t B =
-          std::min<std::uint64_t>(static_cast<std::uint64_t>(kRandomBlocks),
-                                  R);
       const std::uint64_t q = m_total / nslots;
       const std::uint64_t rem = m_total % nslots;
       const std::uint64_t qp1 = q + 1;
@@ -368,13 +426,6 @@ CachedStreamOutcome DramCache::walk_soa(const StreamDesc& stream,
       // F(x) = #{sampled j : j mod nslots < x} = q*x + min(x, rem).
       const auto F = [&](std::uint64_t x) {
         return q * x + std::min(x, rem);
-      };
-      // Deterministic apportionment of the n draws by index-space share
-      // (128-bit: n * F can exceed 64 bits for huge streams).
-      const auto draws_before = [&](std::uint64_t Fx) {
-        __extension__ typedef unsigned __int128 u128;
-        return static_cast<std::uint64_t>(static_cast<u128>(n) * Fx /
-                                          m_total);
       };
       const auto run_block = [&](std::uint64_t b, std::uint64_t& hit,
                                  std::uint64_t& miss, std::uint64_t& evict,
@@ -591,11 +642,33 @@ CachedStreamOutcome DramCache::walk_soa(const StreamDesc& stream,
       }
       out_sh = {hit, miss, evict, cold, visited};
     };
-    IntraPool* pool =
-        (intra_ != nullptr && budget >= kIntraMinWork && nslots > 1)
-            ? intra_->acquire()
-            : nullptr;
-    if (pool != nullptr) {
+    if (sample_mod_ == 1 && lines_in_buf <= sets) {
+      // First-touch sequential walk.  State t = b*block_lines + i touches
+      // position (t*stride) mod lines_in_buf, so the distinct positions
+      // are t*stride for t < min(distinct, lines_in_buf) (stride > 1 only
+      // when distinct*stride <= lines_in_buf), and every other state
+      // repeats one of them.  The buffer fits the unsampled cache, so each
+      // slot sees one line: its first touch decides the outcome and
+      // settles it, and every repeat is a hit that changes nothing.  With
+      // every state sampled, the budget cuts the enumeration only when
+      // distinct == 1.  No lanes: the work is bounded by the buffer's
+      // lines, and a hand-off costs more than the walk.
+      const std::uint64_t first_touches = std::min(distinct, lines_in_buf);
+      std::uint64_t slot = sets_mod_.mod(base_line);
+      std::uint64_t line = base_line;
+      for (std::uint64_t t = 0; t < first_touches; ++t) {
+        touch_slot(slot, line, n_hit, n_miss, n_evict, n_cold);
+        line += stride;
+        slot += stride;
+        if (slot >= sets) slot -= sets;
+      }
+      simulated = std::min<std::uint64_t>(distinct * reuse, budget);
+      n_hit += simulated - first_touches;
+    } else if (IntraPool* pool = (intra_ != nullptr &&
+                                  budget >= kIntraMinWork && nslots > 1)
+                                     ? intra_->acquire()
+                                     : nullptr;
+               pool != nullptr) {
       const std::uint64_t W = std::min<std::uint64_t>(
           std::min<std::uint64_t>(static_cast<std::uint64_t>(pool->width()),
                                   nslots),

@@ -204,8 +204,15 @@ class DramCache {
   /// matter how many workers execute the blocks).
   static constexpr int kRandomBlocks = 16;
   /// Minimum sampled touches before a walk shards: below this the
-  /// barrier handoff costs more than the touch loop.
-  static constexpr std::uint64_t kIntraMinWork = 4096;
+  /// barrier handoff costs more than the touch loop.  Measured with every
+  /// walk forced to shard, on the testbed geometry (24,576 slots) on a
+  /// 4-core 2 GHz Xeon VM, one walk at 2 lanes vs 1: a sequential walk
+  /// spread over every slot first wins at 32,768 touches (1.09x) and
+  /// clearly at 65,536 (1.22x); a random walk over a buffer larger than
+  /// the cache wins from 2,048 draws (1.13x; 1.61x at 65,536).  One bound
+  /// serves both, so it takes the sequential crossover.  (First-touch
+  /// walks never shard.)
+  static constexpr std::uint64_t kIntraMinWork = 1 << 16;
 
   CacheOutcome touch(std::uint64_t line_addr, bool is_write);
   /// The sampled walk behind access(): advances tags/dirty/RNG and returns
@@ -216,8 +223,18 @@ class DramCache {
                            std::uint64_t size);
   /// Count-accumulating walk kernel: strength-reduced line/set index math
   /// (no per-line modulo), branch-light tag updates, per-outcome byte
-  /// totals built once from hit/miss/evict counts.  Bit-identical tag,
-  /// dirty, valid and RNG trajectories to walk_reference().
+  /// totals built once from hit/miss/evict counts.  The touched set and
+  /// the tag/dirty/valid trajectory match walk_reference() bit for bit;
+  /// the draws consumed need not.  A random walk whose sampled lines fit
+  /// the cache and that draws at least one touch per line resolves by
+  /// first touch: each slot then sees one line only, its first touch
+  /// decides the outcome and leaves the slot settled, so every later draw
+  /// of it is a hit that changes nothing.  The walk stops drawing a block
+  /// once its unsettled slots are all touched and counts the rest as
+  /// hits; the unconsumed draws belong to a per-(walk, block) stream that
+  /// nothing else reads.  A sequential walk over a buffer that fits an
+  /// unsampled cache resolves the same way: it touches each distinct line
+  /// once, in order, and counts every repeat as a hit.
   CachedStreamOutcome walk_soa(const StreamDesc& stream, std::uint64_t base,
                                std::uint64_t size);
   /// The pre-SoA per-touch walk, kept verbatim as the bit-exact oracle.
@@ -280,6 +297,11 @@ class DramCache {
   /// Sharded-walk counter slots (member, so steady-state walks allocate
   /// nothing; only slots [0, workers) of a given walk are touched).
   std::array<WalkShard, kMaxWalkShards> shard_{};
+  /// First-touch walk bitmap over sampled-line indices: bit j is set
+  /// while line j's slot is still unsettled in the current walk.  Sized
+  /// for nslots lines at construction (first-touch walks have at most
+  /// that many), so the walk allocates nothing.
+  std::vector<std::uint64_t> unsettled_;
 
   StreamMemo* memo_ = nullptr;
   HistoryDigest chain0_;  ///< digest of the geometry/seed (construction)

@@ -65,13 +65,34 @@ TEST(FastModKernel, MatchesHardwareModuloExactly) {
 
 /// One mixed access sequence covering both walk families and their edge
 /// cases: sequential/random, read/write, reuse blocking, sub-line sizes,
-/// unaligned bases, and buffers smaller than one sampling stride.
+/// unaligned bases, and buffers smaller than one sampling stride.  Run in
+/// a 96 MiB cache of 4 KiB lines (24,576 sets), sampled to 3,072 slots or
+/// unsampled; every buffer base is a multiple of the 8-line sampling
+/// stride unless noted, so both geometries see the same cases.
 std::vector<CacheAccessRequest> walk_program() {
   std::vector<CacheAccessRequest> prog;
   const auto add = [&](StreamDesc s, std::uint64_t base, std::uint64_t size) {
     prog.push_back({s, base, size});
   };
   const BufferId b{};
+  // First-touch random walks (the buffer's sampled lines fit the cache and
+  // the walk draws at least one touch per line), first while the cache is
+  // cold: a read covering its buffer fills it, the same read again finds
+  // every slot settled, and a write over the clean resident lines dirties
+  // them through hits.
+  add(rand_read(b, 64 * MiB), 384 * MiB, 8 * MiB);
+  add(rand_read(b, 64 * MiB), 384 * MiB, 8 * MiB);
+  add(rand_write(b, 64 * MiB), 384 * MiB, 8 * MiB);
+  // Buffers of exactly nslots sampled lines (every slot once) and of
+  // nslots + 1 (wraps onto slot0: the per-draw fallback).
+  add(rand_read(b, 192 * MiB), 512 * MiB, 96 * MiB);
+  add(rand_write(b, 192 * MiB), 512 * MiB, 96 * MiB + 4 * KiB);
+  // 2,049 lines drawn 2,048 times: n = m_total - 1 in both geometries
+  // (257 sampled lines, 256 draws), so the first-touch guard declines.
+  add(rand_read(b, 8 * MiB), 640 * MiB, 8 * MiB + 4 * KiB);
+  // Sequential walks over buffers that fit the cache: unsampled, they
+  // take the first-touch sequential walk (a read sweeping its buffer 4/3
+  // times, a stride-2 write over half of its buffer, reuse repeats).
   add(seq_read(b, 64 * MiB), 0, 48 * MiB);
   add(rand_read(b, 32 * MiB), 0, 48 * MiB);
   add(seq_write(b, 16 * MiB), 48 * MiB, 32 * MiB);
@@ -82,14 +103,28 @@ std::vector<CacheAccessRequest> walk_program() {
   blocked.reuse = 6;
   blocked.reuse_block = 2 * MiB;
   add(blocked, 80 * MiB, 24 * MiB);
+  // Fewer touches than reuse repeats: distinct == 1, and the budget
+  // (touches / sample_mod + 1) cuts the enumeration short of its four
+  // states.
+  add(seq_write(b, 8 * KiB).with_reuse(4), 96 * MiB, 32 * KiB);
   // Unaligned base and a buffer smaller than the sampling stride: the
-  // degenerate snap clause must fire identically on both kernels.
+  // degenerate snap clause must fire identically on both kernels.  In the
+  // sampled geometry the random ones span no sampled line (m_total == 0,
+  // n = 32 touches of one slot); unsampled, they are one-line first-touch
+  // walks.
   add(seq_read(b, 2 * MiB), 104 * MiB + 4096, 8 * KiB);
   add(rand_read(b, 1 * MiB), 104 * MiB + 12288, 4 * KiB);
+  add(rand_write(b, 1 * MiB), 104 * MiB + 12288, 4 * KiB);
   add(seq_write(b, 512 * KiB), 0, 4096);
+  // Walks big enough to shard across lanes in both geometries (>= 65,536
+  // sampled touches): a sequential and a random walk over a buffer larger
+  // than the cache, which keeps both off the first-touch paths.
+  add(seq_read(b, 2 * GiB), 128 * MiB, 128 * MiB);
+  add(rand_write(b, 2 * GiB), 128 * MiB, 128 * MiB);
   // Re-walk warm ranges so hit/evict paths run, not just cold fills.
   add(seq_write(b, 64 * MiB), 0, 48 * MiB);
   add(rand_read(b, 32 * MiB), 0, 48 * MiB);
+  add(rand_read(b, 64 * MiB), 384 * MiB, 8 * MiB);
   return prog;
 }
 
@@ -104,37 +139,111 @@ void expect_outcomes_identical(const CacheOutcome& ref,
   EXPECT_EQ(ref.misses, soa.misses) << "step " << step;
 }
 
+/// The outcomes of `prog` walked access by access on a fresh cache, and
+/// the final occupancy (the tag-array trajectory's end point).  width 0
+/// runs the reference walk; width >= 1 runs walk_batch() on that many
+/// intra-run lanes.
+struct WalkRun {
+  std::vector<CacheOutcome> out;
+  double occupancy = 0.0;
+};
+WalkRun run_walks(const CacheParams& cp,
+                  const std::vector<CacheAccessRequest>& prog, int width) {
+  WalkRun run;
+  run.out.resize(prog.size());
+  DramCache cache(cp);
+  if (width == 0) {
+    ReferenceKernelsGuard guard;
+    for (std::size_t i = 0; i < prog.size(); ++i) {
+      run.out[i] = cache.access(prog[i].stream, prog[i].base, prog[i].size);
+    }
+  } else {
+    IntraContext intra;
+    intra.configure(width);
+    cache.set_intra(&intra);
+    cache.walk_batch(prog.data(), prog.size(), run.out.data());
+  }
+  run.occupancy = cache.occupancy();
+  return run;
+}
+
+void expect_runs_identical(const WalkRun& want, const WalkRun& got) {
+  ASSERT_EQ(want.out.size(), got.out.size());
+  for (std::size_t i = 0; i < want.out.size(); ++i) {
+    expect_outcomes_identical(want.out[i], got.out[i], i);
+  }
+  EXPECT_EQ(want.occupancy, got.occupancy);
+}
+
 TEST(WalkKernelParity, SampledAndUnsampledGeometries) {
   // max_sets 1<<12 forces set sampling (sample_mod > 1, the skip-walk
   // path); 1<<20 keeps every set simulated (sample_mod == 1).  Both
   // geometries must agree with the scalar reference access by access,
   // including the final occupancy (i.e. the tag-array trajectory).
   for (const std::uint64_t max_sets : {1ull << 12, 1ull << 20}) {
+    SCOPED_TRACE(max_sets);
     CacheParams cp;
     cp.line = 4 * KiB;
     cp.capacity = 96 * MiB;
     cp.max_sets = max_sets;
     const auto prog = walk_program();
+    expect_runs_identical(run_walks(cp, prog, 0), run_walks(cp, prog, 1));
+  }
+}
 
-    DramCache ref_cache(cp);
-    std::vector<CacheOutcome> ref_out(prog.size());
-    {
-      ReferenceKernelsGuard guard;
-      for (std::size_t i = 0; i < prog.size(); ++i) {
-        ref_out[i] = ref_cache.access(prog[i].stream, prog[i].base,
-                                      prog[i].size);
+TEST(WalkKernelParity, SeededRandomProgramsMatchReference) {
+  // Seeded random programs over small and testbed-sized geometries,
+  // sampled and unsampled: buffers of sets - 1, sets and sets + 1 lines
+  // (first-touch walks, the nslots + 1 fallback) or of any size up to
+  // twice the cache, aligned or not to the sampling stride, read and
+  // written, with enough re-walks that settled, dirty and evicting slots
+  // all occur.  Draw counts run from far below the buffer's lines to a
+  // few times above them, so the first-touch guard goes both ways.  The
+  // sequential walks take random reuse factors and blocks, so the
+  // unsampled first-touch sequential walk sees partial, strided, whole
+  // and repeated sweeps.
+  struct Geometry {
+    std::uint64_t sets;
+    std::uint64_t max_sets;
+  };
+  const Geometry geometries[] = {
+      {64, 8},     {96, 12},    {96, 1 << 20},   {257, 1 << 20},
+      {1024, 128}, {3000, 375}, {24576, 4096}, {24576, 1 << 20}};
+  Rng rng(0xF1257);
+  const BufferId b{};
+  for (const Geometry& g : geometries) {
+    SCOPED_TRACE(g.sets);
+    SCOPED_TRACE(g.max_sets);
+    CacheParams cp;
+    cp.line = 4 * KiB;
+    cp.capacity = g.sets * cp.line;
+    cp.max_sets = g.max_sets;
+    std::vector<CacheAccessRequest> prog;
+    std::uint64_t base_line = 0;
+    std::uint64_t lines = 1;
+    for (int i = 0; i < 40; ++i) {
+      if (i == 0 || rng.below(3) != 0) {  // else re-walk the last buffer
+        const std::uint64_t shape = rng.below(5);
+        lines = shape < 3 ? g.sets - 1 + shape
+                          : 1 + rng.below(shape == 3 ? 16 : 2 * g.sets);
+        base_line = rng.below(4 * g.sets);
+        if (rng.below(2) == 0) base_line &= ~std::uint64_t{7};
       }
+      const std::uint64_t bytes = (1 + rng.below(3 * lines + 16)) * cp.line;
+      const bool write = rng.below(2) == 0;
+      StreamDesc s;
+      if (rng.below(4) == 0) {
+        s = write ? seq_write(b, bytes) : seq_read(b, bytes);
+        s.with_reuse(static_cast<std::uint32_t>(1 + rng.below(4)),
+                     (1 + rng.below(64)) * cp.line);
+      } else {
+        s = write ? rand_write(b, bytes) : rand_read(b, bytes);
+      }
+      prog.push_back({s, base_line * cp.line, lines * cp.line});
     }
-
-    DramCache soa_cache(cp);
-    std::vector<CacheOutcome> soa_out(prog.size());
-    soa_cache.walk_batch(prog.data(), prog.size(), soa_out.data());
-
-    for (std::size_t i = 0; i < prog.size(); ++i) {
-      expect_outcomes_identical(ref_out[i], soa_out[i], i);
-    }
-    EXPECT_EQ(ref_cache.occupancy(), soa_cache.occupancy())
-        << "max_sets=" << max_sets;
+    const WalkRun ref = run_walks(cp, prog, 0);
+    expect_runs_identical(ref, run_walks(cp, prog, 1));
+    expect_runs_identical(ref, run_walks(cp, prog, 3));
   }
 }
 
@@ -151,23 +260,11 @@ TEST(WalkKernelWidthDeterminism, AnyLaneCountMatchesSerialBitwise) {
     cp.capacity = 96 * MiB;
     cp.max_sets = max_sets;
     const auto prog = walk_program();
-
-    DramCache serial_cache(cp);
-    std::vector<CacheOutcome> serial_out(prog.size());
-    serial_cache.walk_batch(prog.data(), prog.size(), serial_out.data());
-
+    const WalkRun serial = run_walks(cp, prog, 1);
     for (const int width : {2, 5}) {
-      IntraContext intra;
-      intra.configure(width);
-      DramCache cache(cp);
-      cache.set_intra(&intra);
-      std::vector<CacheOutcome> out(prog.size());
-      cache.walk_batch(prog.data(), prog.size(), out.data());
-      for (std::size_t i = 0; i < prog.size(); ++i) {
-        expect_outcomes_identical(serial_out[i], out[i], i);
-      }
-      EXPECT_EQ(cache.occupancy(), serial_cache.occupancy())
-          << "max_sets=" << max_sets << " width=" << width;
+      SCOPED_TRACE(testing::Message()
+                   << "max_sets=" << max_sets << " width=" << width);
+      expect_runs_identical(serial, run_walks(cp, prog, width));
     }
   }
 }
