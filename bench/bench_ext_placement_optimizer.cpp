@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
         MemorySystem rec_sys(sys_cfg);
         TraceCapture capture(rec_sys);
         AppContext ctx(rec_sys, cfg);
-        (void)lookup_app(r.app).run(ctx);
+        (void)lookup_app(r.app).emit(ctx);
         const auto rec = capture.finish();
         const auto profiles = collect_data_profile(rec_sys);
 

@@ -44,7 +44,7 @@ int main() {
     // 1. Profiling run on plain uncached-NVM (the data-centric tool).
     MemorySystem prof_sys(sys_cfg);
     AppContext prof_ctx(prof_sys, cfg);
-    (void)lookup_app("scalapack").run(prof_ctx);
+    (void)lookup_app("scalapack").emit(prof_ctx);
     const auto profiles = collect_data_profile(prof_sys);
 
     // 2. Plans: write-aware and the read-aware validation.

@@ -51,7 +51,7 @@ CkptRun run_with_snapshots(const StorageTier* tier, int interval) {
   }
 
   AppContext ctx(sys, cfg);
-  (void)lookup_app("laghos").run(ctx);
+  (void)lookup_app("laghos").emit(ctx);
 
   CkptRun out;
   out.runtime = sys.now();

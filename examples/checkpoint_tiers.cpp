@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
       };
     }
     AppContext ctx(sys, cfg);
-    (void)lookup_app("laghos").run(ctx);
+    (void)lookup_app("laghos").emit(ctx);
     return std::pair{sys.now(), writer ? writer->total_time() : 0.0};
   };
 

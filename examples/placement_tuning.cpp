@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   MemorySystem prof_sys(sys_cfg);
   TraceCapture capture(prof_sys);
   AppContext prof_ctx(prof_sys, cfg);
-  (void)lookup_app(app).run(prof_ctx);
+  (void)lookup_app(app).emit(prof_ctx);
   const auto rec = capture.finish();
   const auto profiles = collect_data_profile(prof_sys);
 

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   MemorySystem rec_sys(SystemConfig::testbed(Mode::kUncachedNvm));
   TraceCapture capture(rec_sys);
   AppContext ctx(rec_sys, cfg);
-  (void)lookup_app(app).run(ctx);
+  (void)lookup_app(app).emit(ctx);
   const PhaseRecording rec = capture.finish();
   const double dram_baseline = [&] {
     MemorySystem sys(SystemConfig::testbed(Mode::kDramOnly));

@@ -1,10 +1,18 @@
 // Application framework: the interface every dwarf mini-app implements.
 //
-// An App owns its numerical kernel and the translation of that kernel's
-// loop structure into exact phase traffic for the memory simulator.  The
-// harness instantiates a MemorySystem per (app, mode, config) and calls
-// run(); the result carries the virtual runtime, the app-defined figure of
-// merit, counters, traces, and a numeric checksum for correctness tests.
+// An App comes in two independent parts:
+//   * a pure host step, host(cfg): the numerical kernel on the
+//     representative host problem and its checksum.  It reads only
+//     cfg.seed, cfg.iterations and cfg.size_scale, draws from its own
+//     Rng(cfg.seed), and never touches a MemorySystem;
+//   * a traffic emitter, emit(ctx): allocates the modelled buffers, submits
+//     the phases of the kernel's loop structure to ctx.sys and fires
+//     cfg.step_hook where the app supports one.  It runs no numerics, and
+//     no phase byte depends on a numeric result.
+// run(ctx) is both: the result carries the virtual runtime, the
+// app-defined figure of merit, counters, traces, and the host checksum.
+// Because the two parts share nothing, every cell of a sweep that runs one
+// input problem can share a single host step (harness/executor.hpp).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +39,8 @@ struct AppResult {
   RunTraces traces;
   std::vector<CounterSample> samples;
   /// Order-stable numeric digest of the computed output, for correctness
-  /// tests: identical across memory modes by construction.
+  /// tests: App::host(cfg), identical across memory modes and thread
+  /// counts by construction.  0 from App::emit, which runs no numerics.
   double checksum = 0.0;
 };
 
@@ -46,8 +55,21 @@ class App {
   /// Short description of the modelled input problem (Table II).
   virtual std::string input_problem() const = 0;
 
-  /// Execute the kernel against ctx.sys and fill in the result.
-  virtual AppResult run(AppContext& ctx) const = 0;
+  /// The host step: run the numerics of the input problem `cfg` names and
+  /// return its checksum.  A pure function of (seed, iterations,
+  /// size_scale); `cfg` must be valid (AppConfig::validate).
+  virtual double host(const AppConfig& cfg) const = 0;
+
+  /// The traffic emitter: allocate the buffers, submit the phases against
+  /// ctx.sys and fill in everything of the result but the checksum.
+  virtual AppResult emit(AppContext& ctx) const = 0;
+
+  /// Emit the traffic, then set the checksum to host(ctx.cfg()).
+  AppResult run(AppContext& ctx) const {
+    AppResult r = emit(ctx);
+    r.checksum = host(ctx.cfg());
+    return r;
+  }
 };
 
 }  // namespace nvms

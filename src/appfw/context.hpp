@@ -1,6 +1,7 @@
-// AppContext: everything a dwarf kernel needs at run time — the memory
-// system, the run configuration, a profiling recorder, and plan-aware
-// buffer allocation.
+// AppContext: everything a dwarf's traffic emitter needs at run time — the
+// memory system, the run configuration, a profiling recorder, and
+// plan-aware buffer allocation.  It holds no RNG: the run seed is an input
+// of the host step (App::host) alone, so no phase depends on it.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +13,6 @@
 #include "mem/placement_plan.hpp"
 #include "memsim/memory_system.hpp"
 #include "prof/run_recorder.hpp"
-#include "simcore/rng.hpp"
 
 namespace nvms {
 
@@ -24,6 +24,7 @@ struct AppConfig {
   double size_scale = 1.0;
   /// Iteration override; 0 keeps the app default.
   int iterations = 0;
+  /// Seed of the input problem's numerics (App::host); no phase reads it.
   std::uint64_t seed = 7;
   /// Optional write-aware placement plan (uncached-NVM optimization).
   const PlacementPlan* placement = nullptr;
@@ -43,14 +44,13 @@ struct AppConfig {
 class AppContext {
  public:
   AppContext(MemorySystem& sys, const AppConfig& cfg)
-      : sys_(sys), cfg_(cfg), rec_(sys), rng_(cfg.seed) {
+      : sys_(sys), cfg_(cfg), rec_(sys) {
     cfg.validate();
   }
 
   MemorySystem& sys() { return sys_; }
   const AppConfig& cfg() const { return cfg_; }
   RunRecorder& recorder() { return rec_; }
-  Rng& rng() { return rng_; }
 
   /// Allocate a named, typed buffer, honouring the placement plan.
   template <typename T>
@@ -75,7 +75,6 @@ class AppContext {
   MemorySystem& sys_;
   const AppConfig& cfg_;
   RunRecorder rec_;
-  Rng rng_;
 };
 
 }  // namespace nvms

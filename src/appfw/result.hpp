@@ -9,7 +9,8 @@
 namespace nvms {
 
 /// Fill runtime/counters/traces/samples/footprint/mode from the context.
-/// The app sets fom/fom_unit/higher_is_better/checksum itself.
+/// The emitter sets fom/fom_unit/higher_is_better itself; App::run adds
+/// the host checksum.
 AppResult finalize_result(AppContext& ctx, std::string app_name);
 
 }  // namespace nvms

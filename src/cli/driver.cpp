@@ -625,7 +625,7 @@ int cmd_profile(const Options& opt, std::ostream& out, std::ostream& err) {
   const auto sys_cfg = SystemConfig::testbed(Mode::kUncachedNvm);
   MemorySystem sys(sys_cfg);
   AppContext ctx(sys, cfg);
-  (void)lookup_app(app).run(ctx);
+  (void)lookup_app(app).emit(ctx);
   const auto profiles = collect_data_profile(sys);
 
   TextTable t({"buffer", "size", "reads", "writes", "write intensity"});
@@ -665,7 +665,7 @@ int cmd_record(const Options& opt, std::ostream& out, std::ostream& err) {
   MemorySystem sys(SystemConfig::testbed(*mode));
   TraceCapture capture(sys);
   AppContext ctx(sys, cfg);
-  (void)lookup_app(opt.positional()[0]).run(ctx);
+  (void)lookup_app(opt.positional()[0]).emit(ctx);
   const auto rec = capture.finish();
   std::ofstream f(file);
   if (!f) {
@@ -892,7 +892,7 @@ int cmd_optimize(const Options& opt, std::ostream& out, std::ostream& err,
     MemorySystem sys(sys_cfg);
     TraceCapture capture(sys);
     AppContext app_ctx(sys, cfg);
-    (void)lookup_app(target).run(app_ctx);
+    (void)lookup_app(target).emit(app_ctx);
     rec = capture.finish();
   } else {
     err << "optimize: '" << target

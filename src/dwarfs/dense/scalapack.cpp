@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "appfw/result.hpp"
+#include "simcore/rng.hpp"
 
 namespace nvms {
 
@@ -41,7 +43,24 @@ void blocked_gemm(const double* a, const double* b, double* c, std::size_t n,
   }
 }
 
-AppResult ScalapackApp::run(AppContext& ctx) const {
+double ScalapackApp::host(const AppConfig& cfg) const {
+  const auto p = ScalapackParams::from(cfg);
+  const std::size_t real_elems = p.real_n * p.real_n;
+  std::vector<double> a(real_elems);
+  std::vector<double> b(real_elems);
+  std::vector<double> c(real_elems, 0.0);
+  Rng rng(cfg.seed);
+  for (std::size_t i = 0; i < real_elems; ++i) {
+    a[i] = rng.uniform(-1.0, 1.0);
+    b[i] = rng.uniform(-1.0, 1.0);
+  }
+  blocked_gemm(a.data(), b.data(), c.data(), p.real_n, p.real_nb);
+  double frob = 0.0;
+  for (std::size_t i = 0; i < real_elems; ++i) frob += c[i] * c[i];
+  return std::sqrt(frob);
+}
+
+AppResult ScalapackApp::emit(AppContext& ctx) const {
   const auto p = ScalapackParams::from(ctx.cfg());
   const std::size_t nv = p.virtual_n;
   const std::uint64_t mat_elems = static_cast<std::uint64_t>(nv) * nv;
@@ -54,14 +73,6 @@ AppResult ScalapackApp::run(AppContext& ctx) const {
   const std::uint64_t panel_elems = static_cast<std::uint64_t>(nv) * p.panel_nb;
   auto work = ctx.alloc<double>("panel_workspace", p.real_n * p.real_nb * 2,
                                 panel_elems * 2);
-
-  // Host numerics.
-  for (std::size_t i = 0; i < real_elems; ++i) {
-    a[i] = ctx.rng().uniform(-1.0, 1.0);
-    b[i] = ctx.rng().uniform(-1.0, 1.0);
-    c[i] = 0.0;
-  }
-  blocked_gemm(a.data(), b.data(), c.data(), p.real_n, p.real_nb);
 
   const int threads = ctx.cfg().threads;
   const std::uint64_t panel_bytes = panel_elems * sizeof(double);
@@ -111,9 +122,6 @@ AppResult ScalapackApp::run(AppContext& ctx) const {
   r.fom = r.runtime;
   r.fom_unit = "s";
   r.higher_is_better = false;
-  double frob = 0.0;
-  for (std::size_t i = 0; i < real_elems; ++i) frob += c[i] * c[i];
-  r.checksum = std::sqrt(frob);
   return r;
 }
 

@@ -50,7 +50,8 @@ class ScalapackApp final : public App {
   std::string input_problem() const override {
     return "distributed matrix multiply (pdgemm), NxN";
   }
-  AppResult run(AppContext& ctx) const override;
+  double host(const AppConfig& cfg) const override;
+  AppResult emit(AppContext& ctx) const override;
 };
 
 }  // namespace nvms

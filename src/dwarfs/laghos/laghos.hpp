@@ -61,7 +61,8 @@ class LaghosApp final : public App {
   std::string input_problem() const override {
     return "Sedov blast wave Q3-Q2 3D computation";
   }
-  AppResult run(AppContext& ctx) const override;
+  double host(const AppConfig& cfg) const override;
+  AppResult emit(AppContext& ctx) const override;
 };
 
 }  // namespace nvms

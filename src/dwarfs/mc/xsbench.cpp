@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "appfw/result.hpp"
+#include "simcore/rng.hpp"
 
 namespace nvms {
 
@@ -15,6 +16,7 @@ XsBenchParams XsBenchParams::from(const AppConfig& cfg) {
   p.total_lookups = static_cast<std::uint64_t>(
       static_cast<double>(p.total_lookups) * cfg.size_scale);
   if (cfg.iterations > 0) p.batches = cfg.iterations;
+  require(p.batches > 0, "xsbench: batches must be positive");
   return p;
 }
 
@@ -95,9 +97,28 @@ double lookup(const HostGrid& g, double e, int material) {
 
 }  // namespace
 
-AppResult XsBenchApp::run(AppContext& ctx) const {
+double XsBenchApp::host(const AppConfig& cfg) const {
+  const auto p = XsBenchParams::from(cfg);
+  Rng rng(cfg.seed);
+  const HostGrid g = build_grid(p.real_points, rng);
+  const double e_max = g.energy.back();
+  // Every batch runs the same number of real lookups for the verification
+  // hash: sample a material, then the unionized search + per-nuclide
+  // interpolation.
+  const std::uint64_t lookups =
+      static_cast<std::uint64_t>(p.batches) *
+      std::max<std::uint64_t>(1, p.real_lookups / p.batches);
+  double vhash = 0.0;
+  for (std::uint64_t i = 0; i < lookups; ++i) {
+    const double e = rng.uniform(0.0, e_max);
+    const int material = sample_material(g, rng);
+    vhash += lookup(g, e, material);
+  }
+  return vhash;
+}
+
+AppResult XsBenchApp::emit(AppContext& ctx) const {
   const auto p = XsBenchParams::from(ctx.cfg());
-  require(p.batches > 0, "xsbench: batches must be positive");
 
   // Unionized grid (energies + per-isotope indices) and cross-section data.
   // The grid is ~1/4 of the footprint, the xs tables the rest.
@@ -110,28 +131,8 @@ AppResult XsBenchApp::run(AppContext& ctx) const {
                                   xs_bytes / sizeof(double),
                                   p.real_points * kChannels));
 
-  // Host-side numerics.
-  HostGrid host = build_grid(p.real_points, ctx.rng());
-  std::copy(host.energy.begin(), host.energy.end(), grid.data());
-  std::copy(host.xs.begin(),
-            host.xs.begin() + static_cast<std::ptrdiff_t>(std::min(
-                                  host.xs.size(), xs.size())),
-            xs.data());
-  const double e_max = host.energy.back();
-
-  double vhash = 0.0;
   const std::uint64_t lookups_per_batch = p.total_lookups / p.batches;
-  const std::uint64_t real_per_batch =
-      std::max<std::uint64_t>(1, p.real_lookups / p.batches);
-
   for (int b = 0; b < p.batches; ++b) {
-    // Real lookups for the verification hash: sample a material, then the
-    // unionized search + per-nuclide interpolation.
-    for (std::uint64_t i = 0; i < real_per_batch; ++i) {
-      const double e = ctx.rng().uniform(0.0, e_max);
-      const int material = sample_material(host, ctx.rng());
-      vhash += lookup(host, e, material);
-    }
     // Exact traffic of the full batch: every lookup walks the search path
     // in the unionized grid (~1/3 of the touched bytes) and reads the xs
     // rows of the sampled material's isotopes (~2/3).
@@ -153,7 +154,6 @@ AppResult XsBenchApp::run(AppContext& ctx) const {
   r.fom = static_cast<double>(p.total_lookups) / r.runtime;
   r.fom_unit = "lookups/s";
   r.higher_is_better = true;
-  r.checksum = vhash;
   return r;
 }
 

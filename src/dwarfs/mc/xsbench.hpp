@@ -36,7 +36,8 @@ class XsBenchApp final : public App {
   std::string input_problem() const override {
     return "unionized grid, XL problem, 34M lookups";
   }
-  AppResult run(AppContext& ctx) const override;
+  double host(const AppConfig& cfg) const override;
+  AppResult emit(AppContext& ctx) const override;
 };
 
 }  // namespace nvms

@@ -75,7 +75,8 @@ class HaccApp final : public App {
   std::string input_problem() const override {
     return "252 Mpc box, 384^3 grid (CORAL), short-range force";
   }
-  AppResult run(AppContext& ctx) const override;
+  double host(const AppConfig& cfg) const override;
+  AppResult emit(AppContext& ctx) const override;
 };
 
 }  // namespace nvms

@@ -50,7 +50,8 @@ class HypreApp final : public App {
   std::string input_problem() const override {
     return "3D electromagnetic diffusion (AMG V-cycles)";
   }
-  AppResult run(AppContext& ctx) const override;
+  double host(const AppConfig& cfg) const override;
+  AppResult emit(AppContext& ctx) const override;
 };
 
 }  // namespace nvms

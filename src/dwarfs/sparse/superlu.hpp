@@ -70,7 +70,8 @@ class SuperLuApp final : public App {
   std::string input_problem() const override {
     return "distributed PDGSSVX, UF collection datasets";
   }
-  AppResult run(AppContext& ctx) const override;
+  double host(const AppConfig& cfg) const override;
+  AppResult emit(AppContext& ctx) const override;
 };
 
 }  // namespace nvms

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "appfw/result.hpp"
+#include "simcore/rng.hpp"
 
 namespace nvms {
 
@@ -108,7 +109,45 @@ void fft3d(std::vector<std::complex<double>>& cube, std::size_t n,
     }
 }
 
-AppResult FtApp::run(AppContext& ctx) const {
+double FtApp::host(const AppConfig& cfg) const {
+  const auto p = FtParams::from(cfg);
+  const std::size_t real_elems = p.real_dim * p.real_dim * p.real_dim;
+
+  // Pseudo-random field, forward-transformed once (as NPB FT does in its
+  // setup).
+  Rng rng(cfg.seed);
+  std::vector<std::complex<double>> u0(real_elems);
+  for (auto& c : u0) c = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+  fft3d(u0, p.real_dim, -1);
+
+  std::complex<double> chk{0.0, 0.0};
+  std::vector<std::complex<double>> work(real_elems);
+  // Element i turns by a phase that depends on i % kPhases only.
+  constexpr std::size_t kPhases = 1024;
+  std::vector<std::complex<double>> turn(kPhases);
+  for (int it = 1; it <= p.iterations; ++it) {
+    // evolve: u1 = u0 * exp(i * t * k^2), then the inverse 3D FFT.
+    for (std::size_t q = 0; q < kPhases; ++q) {
+      const double phase =
+          1e-6 * static_cast<double>(it) * static_cast<double>(q);
+      turn[q] = std::complex<double>(std::cos(phase), std::sin(phase));
+    }
+    for (std::size_t i = 0; i < real_elems; ++i) {
+      work[i] = u0[i] * turn[i % kPhases];
+    }
+    fft3d(work, p.real_dim, +1);
+
+    // NPB-style checksum over a deterministic element subset.
+    std::complex<double> local{0.0, 0.0};
+    for (std::size_t q = 0; q < 1024; ++q) {
+      local += work[(q * 17 + static_cast<std::size_t>(it)) % real_elems];
+    }
+    chk += local / static_cast<double>(real_elems);
+  }
+  return chk.real() + chk.imag();
+}
+
+AppResult FtApp::emit(AppContext& ctx) const {
   const auto p = FtParams::from(ctx.cfg());
   const std::uint64_t nv = p.virtual_elems;
   const std::uint64_t array_bytes = nv * sizeof(std::complex<double>);
@@ -116,14 +155,6 @@ AppResult FtApp::run(AppContext& ctx) const {
 
   auto u0 = ctx.alloc<std::complex<double>>("u0", real_elems, nv);
   auto u1 = ctx.alloc<std::complex<double>>("u1", real_elems, nv);
-
-  // Host initialization: pseudo-random field, forward-transformed once (as
-  // NPB FT does in its setup).
-  std::vector<std::complex<double>> host(real_elems);
-  for (auto& c : host)
-    c = {ctx.rng().uniform(-1.0, 1.0), ctx.rng().uniform(-1.0, 1.0)};
-  fft3d(host, p.real_dim, -1);
-  std::copy(host.begin(), host.end(), u0.data());
 
   const int threads = ctx.cfg().threads;
   const std::uint64_t wr_bytes = static_cast<std::uint64_t>(
@@ -133,21 +164,8 @@ AppResult FtApp::run(AppContext& ctx) const {
       5.0 * static_cast<double>(nv) *
       std::log2(static_cast<double>(std::max<std::uint64_t>(nv, 2)));
 
-  std::complex<double> chk{0.0, 0.0};
-  std::vector<std::complex<double>> work(real_elems);
-  // Element i turns by a phase that depends on i % kPhases only.
-  constexpr std::size_t kPhases = 1024;
-  std::vector<std::complex<double>> turn(kPhases);
   for (int it = 1; it <= p.iterations; ++it) {
     // evolve: u1 = u0 * exp(i * t * k^2) — pointwise, stream both arrays.
-    for (std::size_t q = 0; q < kPhases; ++q) {
-      const double phase =
-          1e-6 * static_cast<double>(it) * static_cast<double>(q);
-      turn[q] = std::complex<double>(std::cos(phase), std::sin(phase));
-    }
-    for (std::size_t i = 0; i < real_elems; ++i) {
-      work[i] = host[i] * turn[i % kPhases];
-    }
     ctx.run(PhaseBuilder("evolve")
                 .threads(threads)
                 .flops(8.0 * static_cast<double>(nv))
@@ -156,7 +174,6 @@ AppResult FtApp::run(AppContext& ctx) const {
                 .build());
 
     // inverse 3D FFT: one contiguous pass, two transpose-like passes.
-    fft3d(work, p.real_dim, +1);
     ctx.run(PhaseBuilder("fftx")
                 .threads(threads)
                 .flops(pass_flops)
@@ -179,11 +196,6 @@ AppResult FtApp::run(AppContext& ctx) const {
                 .build());
 
     // NPB-style checksum over a deterministic element subset.
-    std::complex<double> local{0.0, 0.0};
-    for (std::size_t q = 0; q < 1024; ++q) {
-      local += work[(q * 17 + static_cast<std::size_t>(it)) % real_elems];
-    }
-    chk += local / static_cast<double>(real_elems);
     ctx.run(PhaseBuilder("checksum")
                 .threads(threads)
                 .flops(2.0 * 1024.0)
@@ -198,7 +210,6 @@ AppResult FtApp::run(AppContext& ctx) const {
   r.fom = total_flops / r.runtime / 1e6;
   r.fom_unit = "Mop/s";
   r.higher_is_better = true;
-  r.checksum = chk.real() + chk.imag();
   return r;
 }
 

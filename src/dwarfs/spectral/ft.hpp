@@ -49,7 +49,8 @@ class FtApp final : public App {
   std::string input_problem() const override {
     return "discrete 3D FFT, NPB class D";
   }
-  AppResult run(AppContext& ctx) const override;
+  double host(const AppConfig& cfg) const override;
+  AppResult emit(AppContext& ctx) const override;
 };
 
 }  // namespace nvms

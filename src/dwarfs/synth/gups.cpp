@@ -1,6 +1,9 @@
 #include "dwarfs/synth/gups.hpp"
 
+#include <vector>
+
 #include "appfw/result.hpp"
+#include "simcore/rng.hpp"
 
 namespace nvms {
 
@@ -14,13 +17,11 @@ GupsParams GupsParams::from(const AppConfig& cfg) {
   return p;
 }
 
-AppResult GupsApp::run(AppContext& ctx) const {
-  const auto p = GupsParams::from(ctx.cfg());
-  auto table = ctx.alloc<std::uint64_t>("gups_table", p.real_words,
-                                        p.virtual_words);
-
-  // Host numerics: XOR updates are self-inverse; the checksum after
-  // applying the stream twice must equal the initial table sum.
+double GupsApp::host(const AppConfig& cfg) const {
+  const auto p = GupsParams::from(cfg);
+  // XOR updates are self-inverse: the table sum after applying the stream
+  // twice must equal the initial sum.
+  std::vector<std::uint64_t> table(p.real_words);
   for (std::size_t i = 0; i < p.real_words; ++i) {
     table[i] = 0x1234'5678'9ABC'DEF0ull ^ (static_cast<std::uint64_t>(i) << 17);
   }
@@ -39,6 +40,14 @@ AppResult GupsApp::run(AppContext& ctx) const {
   apply_stream(p.updates);  // second pass restores the table
   std::uint64_t final_sum = 0;
   for (std::size_t i = 0; i < p.real_words; ++i) final_sum += table[i];
+  // 0 when the XOR stream round-tripped correctly.
+  return static_cast<double>(final_sum - initial_sum);
+}
+
+AppResult GupsApp::emit(AppContext& ctx) const {
+  const auto p = GupsParams::from(ctx.cfg());
+  auto table = ctx.alloc<std::uint64_t>("gups_table", p.real_words,
+                                        p.virtual_words);
 
   // Each update is a random 8B read-modify-write: one 64B line in, one
   // 64B line out, at sub-media granularity.
@@ -57,8 +66,6 @@ AppResult GupsApp::run(AppContext& ctx) const {
   r.fom = static_cast<double>(p.updates) / r.runtime / 1e6;
   r.fom_unit = "MUPS";
   r.higher_is_better = true;
-  // 0 when the XOR stream round-tripped correctly.
-  r.checksum = static_cast<double>(final_sum - initial_sum);
   return r;
 }
 

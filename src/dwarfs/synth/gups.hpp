@@ -33,7 +33,8 @@ class GupsApp final : public App {
   std::string input_problem() const override {
     return "random 8B XOR updates over a 64 MB table";
   }
-  AppResult run(AppContext& ctx) const override;
+  double host(const AppConfig& cfg) const override;
+  AppResult emit(AppContext& ctx) const override;
 };
 
 }  // namespace nvms

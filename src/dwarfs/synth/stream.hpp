@@ -30,7 +30,8 @@ class StreamApp final : public App {
   std::string input_problem() const override {
     return "STREAM copy/scale/add/triad over three arrays";
   }
-  AppResult run(AppContext& ctx) const override;
+  double host(const AppConfig& cfg) const override;
+  AppResult emit(AppContext& ctx) const override;
 };
 
 }  // namespace nvms

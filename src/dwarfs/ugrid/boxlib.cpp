@@ -85,7 +85,17 @@ double wave_front_radius(const WaveState& s) {
   return count > 0 ? sum_r / static_cast<double>(count) : 0.0;
 }
 
-AppResult BoxLibApp::run(AppContext& ctx) const {
+double BoxLibApp::host(const AppConfig& cfg) const {
+  const auto p = BoxLibParams::from(cfg);
+  // Circular wave on level 0 resolution.
+  WaveState wave = make_wave(p.real_dim, static_cast<double>(p.real_dim) / 10);
+  const double r0 = wave_front_radius(wave);
+  for (int step = 0; step < p.steps; ++step) wave_step(wave, 0.4, 0.5, 0.35);
+  // The front must have moved outward; fold position + mass into checksum.
+  return wave_front_radius(wave) - r0 + wave.total_mass();
+}
+
+AppResult BoxLibApp::emit(AppContext& ctx) const {
   const auto p = BoxLibParams::from(ctx.cfg());
   const std::uint64_t l0_cells = p.virtual_cells_l0;
   const std::uint64_t l1_cells = static_cast<std::uint64_t>(
@@ -102,19 +112,12 @@ AppResult BoxLibApp::run(AppContext& ctx) const {
       "amr_level1", p.real_dim * p.real_dim,
       std::max<std::uint64_t>(l1_cells * p.ncomp, p.real_dim * p.real_dim));
 
-  // Host numerics: circular wave on level 0 resolution.
-  WaveState wave = make_wave(p.real_dim, static_cast<double>(p.real_dim) / 10);
-  const double r0 = wave_front_radius(wave);
-
   const int threads = ctx.cfg().threads;
   auto frac = [](std::uint64_t b, double f) {
     return static_cast<std::uint64_t>(static_cast<double>(b) * f);
   };
 
   for (int step = 0; step < p.steps; ++step) {
-    wave_step(wave, 0.4, 0.5, 0.35);
-    std::copy(wave.c.begin(), wave.c.end(), level0.data());
-
     // Level-0 advection + reaction: stencil reads, new-state writes.
     ctx.run(PhaseBuilder("advect:l0")
                 .threads(threads)
@@ -160,8 +163,6 @@ AppResult BoxLibApp::run(AppContext& ctx) const {
   r.fom = r.runtime;
   r.fom_unit = "s";
   r.higher_is_better = false;
-  // The front must have moved outward; fold position + mass into checksum.
-  r.checksum = wave_front_radius(wave) - r0 + wave.total_mass();
   return r;
 }
 

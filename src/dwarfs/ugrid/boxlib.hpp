@@ -55,7 +55,8 @@ class BoxLibApp final : public App {
   std::string input_problem() const override {
     return "spherical chemical wave propagation (2-level AMR)";
   }
-  AppResult run(AppContext& ctx) const override;
+  double host(const AppConfig& cfg) const override;
+  AppResult emit(AppContext& ctx) const override;
 };
 
 }  // namespace nvms

@@ -8,9 +8,18 @@
 //   * outcomes are returned in task order — outcome[i] always belongs to
 //     tasks[i] no matter which worker ran it or when it finished;
 //   * task seeds come from the configs verbatim.  Grid builders that
-//     want per-task isolation derive them with derive_task_seed(base, i),
-//     which is a pure function of (base seed, task index) — never of
-//     shared RNG state — so jobs=1 and jobs=N produce identical bytes;
+//     want a distinct input problem per task derive them with
+//     derive_task_seed(base, i), which is a pure function of (base seed,
+//     task index) — never of shared RNG state — so jobs=1 and jobs=N
+//     produce identical bytes;
+//   * tasks with the same host input — app, cfg.seed, cfg.iterations and
+//     cfg.size_scale, all that App::host reads — share one host step.
+//     Every task emits its traffic (App::emit); the first task of a group
+//     to complete it then runs the group's host step inline, so a
+//     capacity-skipped task never runs numerics and no task waits on
+//     another.  After the batch joins, every completed outcome gets its
+//     group's checksum, so outcome[i] equals run_app_on(tasks[i]) bit for
+//     bit;
 //   * a task that throws CapacityError is recorded as skipped (the
 //     oversized-configuration semantics of run_sweep); any other
 //     exception aborts the batch after all tasks finished, rethrowing
@@ -61,6 +70,7 @@ struct TaskStats {
   double queue_wait_s = 0.0; ///< submission -> execution start
   double wall_s = 0.0;       ///< execution start -> finish
   bool skipped = false;      ///< CapacityError: configuration did not fit
+  bool host_step = false;    ///< ran its host-input group's App::host
 };
 
 /// Batch-level observability: per-task records plus derived aggregates.
@@ -97,8 +107,9 @@ std::vector<TelemetryPart> telemetry_parts(
     const std::vector<ExperimentConfig>& tasks,
     const std::vector<ExperimentOutcome>& outcomes);
 
-/// Mix a base seed with a task index (splitmix64) — the seed-isolation
-/// scheme used by run_sweep: stable across worker counts and platforms.
+/// Mix a base seed with a task index (splitmix64): a distinct input
+/// problem per task of a grid, stable across worker counts and platforms.
+/// run_sweep does not use it — every sweep cell runs spec.seed's problem.
 std::uint64_t derive_task_seed(std::uint64_t base, std::size_t index);
 
 /// Worker-lease arithmetic: the intra-run lane width an "auto"

@@ -27,7 +27,7 @@ PhaseCorpus harvest_corpus(const std::string& app, Mode mode, int threads) {
   AppConfig cfg;
   cfg.threads = threads;
   AppContext ctx(sys, cfg);
-  (void)lookup_app(app).run(ctx);
+  (void)lookup_app(app).emit(ctx);
 
   for (const BufferInfo& b : sys.buffers()) {
     corpus.buffers.push_back({b.name, b.bytes, b.placement});

@@ -7,10 +7,11 @@
 //
 // Thread safety: the registry is const-after-init.  The app and name
 // tables are function-local statics (thread-safe initialization) and are
-// never mutated afterwards; App instances are stateless (run() is const
-// and touches only its AppContext), so concurrent run_app()/run_app_on()
-// calls from executor workers are safe.  Call init_registry() (or any
-// lookup) before fanning out to keep initialization off the hot path.
+// never mutated afterwards; App instances are stateless (host() and
+// emit() are const and touch only their config and AppContext), so
+// concurrent run_app()/run_app_on() calls from executor workers are safe.
+// Call init_registry() (or any lookup) before fanning out to keep
+// initialization off the hot path.
 #pragma once
 
 #include <functional>
@@ -52,5 +53,12 @@ AppResult run_app(const std::string& name, Mode mode, const AppConfig& cfg);
 AppResult run_app_on(const std::string& name, SystemConfig sys_cfg,
                      const AppConfig& cfg, Telemetry* telemetry = nullptr,
                      ResolveCache* resolve_cache = nullptr);
+
+/// As run_app_on, but traffic only (App::emit): the host step is skipped
+/// and the result's checksum is 0.  Every other field, and everything the
+/// run leaves in `telemetry` and `resolve_cache`, equals run_app_on's.
+AppResult emit_app_on(const std::string& name, SystemConfig sys_cfg,
+                      const AppConfig& cfg, Telemetry* telemetry = nullptr,
+                      ResolveCache* resolve_cache = nullptr);
 
 }  // namespace nvms

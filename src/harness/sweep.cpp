@@ -43,7 +43,9 @@ SweepResult run_sweep(const SweepSpec& spec) {
   }
 
   // Build the grid in mode-major order; the executor returns outcomes in
-  // this same order regardless of worker interleaving.
+  // this same order regardless of worker interleaving.  Every cell runs
+  // the one input problem spec.seed names, so the executor runs the host
+  // step once per scale and hands its checksum to every row of the scale.
   std::vector<ExperimentConfig> grid;
   grid.reserve(cells);
   for (const Mode mode : spec.modes) {
@@ -55,7 +57,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
         task.sys.intra_jobs = spec.intra_jobs;
         task.cfg.threads = threads;
         task.cfg.size_scale = scale;
-        task.cfg.seed = derive_task_seed(spec.seed, grid.size());
+        task.cfg.seed = spec.seed;
         task.telemetry = spec.telemetry;
         task.resolve_cache = cache;
         char label[96];

@@ -2,10 +2,16 @@
 // x problem scales for one application, with CSV export — the building
 // block behind the CLI `sweep` command and custom studies.
 //
+// A sweep runs one input problem — the one spec.seed names — in every
+// cell, as the paper's Fig. 2 / Table III run each app's input across
+// modes and concurrencies.  Its numerics therefore run once per scale:
+// the cells of a scale share one host step (harness/executor.hpp), and
+// every row gets that step's checksum.
+//
 // Sweeps run on the parallel executor (harness/executor.hpp).  Results
 // are deterministic in the worker count: rows keep the mode-major grid
-// order and every configuration's seed is derived from (spec.seed, grid
-// index), so `jobs=1` and `jobs=N` emit byte-identical CSVs.
+// order and no row depends on which cell ran the host step, so `jobs=1`
+// and `jobs=N` emit byte-identical CSVs.
 #pragma once
 
 #include <string>
@@ -24,6 +30,7 @@ struct SweepSpec {
                              Mode::kUncachedNvm};
   std::vector<int> threads = {12, 24, 36, 48};
   std::vector<double> scales = {1.0};
+  /// Seed of the input problem every cell runs (AppConfig::seed).
   std::uint64_t seed = 7;
   /// Worker count for the grid; 0 = hardware concurrency.  Any value
   /// yields the same rows and CSV bytes.
@@ -60,6 +67,8 @@ struct SweepRow {
   Mode mode = Mode::kDramOnly;
   int threads = 0;
   double scale = 1.0;
+  /// Bit-identical to run_app_on at this row's mode, threads and scale
+  /// with seed = spec.seed, checksum included.
   AppResult result;
 };
 

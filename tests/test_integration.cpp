@@ -320,7 +320,7 @@ TEST(WriteAware, ScalapackReachesDramLikePerformance) {
 
   MemorySystem prof_sys(sys_cfg);
   AppContext prof_ctx(prof_sys, cfg);
-  (void)lookup_app("scalapack").run(prof_ctx);
+  (void)lookup_app("scalapack").emit(prof_ctx);
   const auto wa =
       write_aware_plan(collect_data_profile(prof_sys),
                        sys_cfg.dram.capacity * 35 / 100);

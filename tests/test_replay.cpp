@@ -14,7 +14,7 @@ PhaseRecording record_app(const std::string& app, Mode mode,
   MemorySystem sys(SystemConfig::testbed(mode));
   TraceCapture capture(sys);
   AppContext ctx(sys, cfg);
-  (void)lookup_app(app).run(ctx);
+  (void)lookup_app(app).emit(ctx);
   if (runtime != nullptr) *runtime = sys.now();
   return capture.finish();
 }

@@ -22,7 +22,7 @@ PhaseRecording record(const std::string& app, int threads = 36) {
   AppConfig cfg;
   cfg.threads = threads;
   AppContext ctx(sys, cfg);
-  (void)lookup_app(app).run(ctx);
+  (void)lookup_app(app).emit(ctx);
   return capture.finish();
 }
 

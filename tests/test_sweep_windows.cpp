@@ -2,9 +2,13 @@
 // the experiment executor, and the fixed-window counter re-binning.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "harness/executor.hpp"
+#include "harness/registry.hpp"
 #include "harness/sweep.hpp"
 #include "prof/windows.hpp"
 #include "simcore/error.hpp"
@@ -13,6 +17,28 @@ namespace nvms {
 namespace {
 
 // ---------- sweep -----------------------------------------------------------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The one-shot run a sweep row stands for: seed = spec.seed.
+AppResult one_shot(const std::string& app, const SweepRow& row,
+                   std::uint64_t seed) {
+  AppConfig cfg;
+  cfg.threads = row.threads;
+  cfg.size_scale = row.scale;
+  cfg.seed = seed;
+  return run_app_on(app, SystemConfig::testbed(row.mode), cfg);
+}
+
+/// Tasks of `result` that ran a host step, per scale index.
+std::vector<int> host_steps_per_scale(const SweepResult& result,
+                                      std::size_t scales) {
+  std::vector<int> steps(scales, 0);
+  for (const TaskStats& t : result.stats.tasks) {
+    steps[t.index % scales] += t.host_step ? 1 : 0;
+  }
+  return steps;
+}
 
 TEST(Sweep, CartesianProductOrderAndContent) {
   SweepSpec spec;
@@ -83,9 +109,10 @@ TEST(Sweep, Validation) {
   EXPECT_THROW(run_sweep(spec), ConfigError);
 }
 
-// The determinism contract of the tentpole: any worker count yields
-// byte-identical CSVs because rows keep grid order and every task's seed
-// is a pure function of (spec.seed, grid index).
+// The determinism contract: any worker count yields byte-identical CSVs
+// because rows keep grid order and no row depends on which cell ran the
+// host step.  Each row is the one-shot run of the sweep's input problem
+// (seed = spec.seed) at its mode, threads and scale, checksum included.
 TEST(Sweep, ParallelMatchesSerialByteForByte) {
   for (const char* app : {"hacc", "xsbench"}) {
     SweepSpec spec;
@@ -93,6 +120,7 @@ TEST(Sweep, ParallelMatchesSerialByteForByte) {
     spec.modes = {Mode::kDramOnly, Mode::kCachedNvm, Mode::kUncachedNvm};
     spec.threads = {12, 24};
     spec.scales = {1.0};
+    spec.seed = 11;
 
     spec.jobs = 1;
     const auto serial = run_sweep(spec);
@@ -100,8 +128,18 @@ TEST(Sweep, ParallelMatchesSerialByteForByte) {
     const auto parallel = run_sweep(spec);
 
     ASSERT_EQ(serial.rows.size(), 6u) << app;
+    ASSERT_EQ(parallel.rows.size(), 6u) << app;
     EXPECT_EQ(sweep_csv(serial), sweep_csv(parallel)) << app;
     EXPECT_EQ(parallel.stats.jobs, 4);
+    for (std::size_t i = 0; i < serial.rows.size(); ++i) {
+      const AppResult want = one_shot(app, serial.rows[i], spec.seed);
+      for (const SweepResult* r : {&serial, &parallel}) {
+        const AppResult& got = r->rows[i].result;
+        EXPECT_EQ(bits(got.checksum), bits(want.checksum)) << app << " " << i;
+        EXPECT_EQ(bits(got.runtime), bits(want.runtime)) << app << " " << i;
+        EXPECT_EQ(bits(got.fom), bits(want.fom)) << app << " " << i;
+      }
+    }
   }
 }
 
@@ -135,6 +173,87 @@ TEST(Sweep, StatsCoverTheWholeGrid) {
   EXPECT_EQ(data_lines, result.stats.tasks.size());
 }
 
+TEST(Sweep, TwelveCellGridRunsTheHostStepOnce) {
+  for (const char* app : {"hacc", "xsbench"}) {
+    SweepSpec spec;
+    spec.app = app;
+    spec.jobs = 4;
+    const SweepResult result = run_sweep(spec);
+    ASSERT_EQ(result.stats.tasks.size(), 12u) << app;
+    EXPECT_EQ(host_steps_per_scale(result, 1), std::vector<int>{1}) << app;
+    for (const SweepRow& row : result.rows) {
+      EXPECT_EQ(bits(row.result.checksum),
+                bits(result.rows.front().result.checksum))
+          << app;
+    }
+  }
+}
+
+TEST(Sweep, TwoScaleGridRunsOneHostStepPerScale) {
+  for (const char* app : {"hacc", "xsbench"}) {
+    SweepSpec spec;
+    spec.app = app;
+    spec.threads = {12, 24};
+    spec.scales = {0.5, 1.0};
+    spec.jobs = 4;
+    const SweepResult result = run_sweep(spec);
+    ASSERT_EQ(result.rows.size(), 12u) << app;
+    EXPECT_EQ(host_steps_per_scale(result, 2), (std::vector<int>{1, 1}))
+        << app;
+    std::vector<std::uint64_t> host;
+    for (const double scale : spec.scales) {
+      AppConfig cfg;
+      cfg.size_scale = scale;
+      cfg.seed = spec.seed;
+      host.push_back(bits(lookup_app(app).host(cfg)));
+    }
+    for (std::size_t i = 0; i < result.rows.size(); ++i) {
+      EXPECT_EQ(bits(result.rows[i].result.checksum), host[i % 2])
+          << app << " scale " << result.rows[i].scale;
+    }
+  }
+}
+
+// At scale 4.0 hacc's dram-only cell does not fit.  At jobs=1 it runs
+// first and is skipped before its traffic completes, so it runs no host
+// step; the first completed cell runs it, and both completed rows carry
+// its checksum.
+TEST(Sweep, SkippedCellRunsNoHostStepAndRowsKeepTheChecksum) {
+  SweepSpec spec;
+  spec.app = "hacc";
+  spec.threads = {12};
+  spec.scales = {4.0};
+  spec.jobs = 1;
+  const SweepResult result = run_sweep(spec);
+  ASSERT_EQ(result.skipped.size(), 1u);
+  EXPECT_EQ(result.skipped[0].mode, Mode::kDramOnly);
+  ASSERT_EQ(result.stats.tasks.size(), 3u);
+  EXPECT_TRUE(result.stats.tasks[0].skipped);
+  EXPECT_FALSE(result.stats.tasks[0].host_step);
+  EXPECT_TRUE(result.stats.tasks[1].host_step);
+  EXPECT_FALSE(result.stats.tasks[2].host_step);
+  ASSERT_EQ(result.rows.size(), 2u);
+  for (const SweepRow& row : result.rows) {
+    EXPECT_EQ(bits(row.result.checksum),
+              bits(one_shot("hacc", row, spec.seed).checksum))
+        << to_string(row.mode);
+  }
+}
+
+// A scale whose every cell is skipped has no row to feed: no host step.
+TEST(Sweep, FullySkippedScaleRunsNoHostStep) {
+  SweepSpec spec;
+  spec.app = "hacc";
+  spec.modes = {Mode::kDramOnly};
+  spec.threads = {12, 24};
+  spec.scales = {1.0, 4.0};
+  spec.jobs = 2;
+  const SweepResult result = run_sweep(spec);
+  ASSERT_EQ(result.skipped.size(), 2u);
+  ASSERT_EQ(result.rows.size(), 2u);
+  EXPECT_EQ(host_steps_per_scale(result, 2), (std::vector<int>{1, 0}));
+}
+
 // ---------- executor --------------------------------------------------------
 
 TEST(Executor, SeedDerivationIsPureAndSpreads) {
@@ -162,6 +281,49 @@ TEST(Executor, OutcomesKeepTaskOrder) {
     EXPECT_FALSE(serial[i].skipped);
     EXPECT_DOUBLE_EQ(serial[i].result.runtime, parallel[i].result.runtime);
     EXPECT_DOUBLE_EQ(serial[i].result.checksum, parallel[i].result.checksum);
+  }
+}
+
+// Tasks share a host step only when App::host would see the same input:
+// a different app, seed, iteration count or scale is a problem of its own.
+TEST(Executor, HostStepIsSharedOnlyWithinTheSameHostInput) {
+  std::vector<ExperimentConfig> tasks;
+  auto add = [&](const char* app, Mode mode, int threads, std::uint64_t seed,
+                 int iterations, double scale) {
+    ExperimentConfig t;
+    t.app = app;
+    t.sys = SystemConfig::testbed(mode);
+    t.cfg.threads = threads;
+    t.cfg.seed = seed;
+    t.cfg.iterations = iterations;
+    t.cfg.size_scale = scale;
+    tasks.push_back(std::move(t));
+  };
+  add("hacc", Mode::kDramOnly, 12, 7, 0, 1.0);     // group 0
+  add("hacc", Mode::kUncachedNvm, 24, 7, 0, 1.0);  // group 0
+  add("hacc", Mode::kDramOnly, 12, 8, 0, 1.0);     // group 1: seed
+  add("hacc", Mode::kDramOnly, 12, 7, 2, 1.0);     // group 2: iterations
+  add("hacc", Mode::kDramOnly, 12, 7, 0, 0.5);     // group 3: scale
+  add("xsbench", Mode::kDramOnly, 12, 7, 0, 1.0);  // group 4: app
+  add("xsbench", Mode::kCachedNvm, 48, 7, 0, 1.0); // group 4
+  std::vector<AppResult> want;
+  for (const ExperimentConfig& t : tasks) {
+    want.push_back(run_app_on(t.app, t.sys, t.cfg));
+  }
+  ASSERT_NE(bits(want[2].checksum), bits(want[0].checksum));
+  for (const int jobs : {1, 4}) {
+    ExecutorStats stats;
+    const auto outcomes = run_experiments(tasks, jobs, &stats);
+    ASSERT_EQ(outcomes.size(), tasks.size());
+    int host_steps = 0;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      EXPECT_EQ(bits(outcomes[i].result.checksum), bits(want[i].checksum))
+          << "jobs=" << jobs << " task " << i;
+      EXPECT_EQ(bits(outcomes[i].result.runtime), bits(want[i].runtime))
+          << "jobs=" << jobs << " task " << i;
+      host_steps += stats.tasks[i].host_step ? 1 : 0;
+    }
+    EXPECT_EQ(host_steps, 5) << "jobs=" << jobs;
   }
 }
 

@@ -20,7 +20,7 @@ PhaseRecording record(const std::string& app, int threads = 36) {
   AppConfig cfg;
   cfg.threads = threads;
   AppContext ctx(sys, cfg);
-  (void)lookup_app(app).run(ctx);
+  (void)lookup_app(app).emit(ctx);
   return capture.finish();
 }
 
@@ -57,7 +57,7 @@ TEST(TraceOptimizer, NeverWorseThanWriteAwareHeuristic) {
     AppConfig cfg;
     cfg.threads = 36;
     AppContext ctx(prof_sys, cfg);
-    (void)lookup_app(app).run(ctx);
+    (void)lookup_app(app).emit(ctx);
     const auto heuristic =
         write_aware_plan(collect_data_profile(prof_sys), budget);
     auto sys = factory()();
