@@ -21,8 +21,7 @@ namespace {
 double measure_bw(Mode mode, Pattern pat, Dir dir, int threads, double mlp,
                   std::uint64_t granule = 64) {
   MemorySystem sys(SystemConfig::testbed(mode));
-  Buffer<double> buf(sys, "probe", 1 * MiB / sizeof(double),
-                     32 * MiB / sizeof(double));
+  Buffer<double> buf(sys, "probe", 32 * MiB / sizeof(double));
   StreamDesc s{buf.id(), 1 * GiB, pat, dir, granule};
   Phase p = PhaseBuilder("probe").threads(threads).mlp(mlp).stream(s).build();
   const auto res = sys.submit(p);

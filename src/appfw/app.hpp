@@ -11,8 +11,9 @@
 //     no phase byte depends on a numeric result.
 // run(ctx) is both: the result carries the virtual runtime, the
 // app-defined figure of merit, counters, traces, and the host checksum.
-// Because the two parts share nothing, every cell of a sweep that runs one
-// input problem can share a single host step (harness/executor.hpp).
+// Because the two parts share nothing, a caller that prints no checksum
+// runs emit alone: every library run (harness/registry.hpp) does, and
+// only `nvmsim run` adds host(cfg).
 #pragma once
 
 #include <cstdint>
@@ -38,9 +39,9 @@ struct AppResult {
   HwCounters counters;
   RunTraces traces;
   std::vector<CounterSample> samples;
-  /// Order-stable numeric digest of the computed output, for correctness
-  /// tests: App::host(cfg), identical across memory modes and thread
-  /// counts by construction.  0 from App::emit, which runs no numerics.
+  /// Order-stable numeric digest of the computed output: App::host(cfg),
+  /// identical across memory modes and thread counts by construction.  0
+  /// from App::emit and every library run, which run no numerics.
   double checksum = 0.0;
 };
 

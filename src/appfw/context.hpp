@@ -52,20 +52,13 @@ class AppContext {
   const AppConfig& cfg() const { return cfg_; }
   RunRecorder& recorder() { return rec_; }
 
-  /// Allocate a named, typed buffer, honouring the placement plan.
+  /// Register a named buffer of `count` modelled elements of T, honouring
+  /// the placement plan.
   template <typename T>
   Buffer<T> alloc(std::string name, std::size_t count) {
-    return alloc<T>(std::move(name), count, count);
-  }
-
-  /// Allocate with a virtual footprint larger than the host array
-  /// (self-similar scaling; see Buffer).
-  template <typename T>
-  Buffer<T> alloc(std::string name, std::size_t count,
-                  std::size_t virtual_count) {
     Placement p = Placement::kAuto;
     if (cfg_.placement != nullptr) p = cfg_.placement->lookup(name);
-    return Buffer<T>(sys_, std::move(name), count, virtual_count, p);
+    return Buffer<T>(sys_, std::move(name), count, p);
   }
 
   /// Submit a phase through the recorder (per-phase samples collected).

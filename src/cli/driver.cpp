@@ -160,21 +160,13 @@ std::optional<ResolveCacheMode> cache_mode_from(const Options& opt,
 // the active jobs.  Without the option, a frontend's lane grant
 // (CommandContext::intra_jobs) applies, else 1.  Output bytes never
 // depend on the width.
-std::optional<int> intra_jobs_from(const Options& opt, std::ostream& err,
-                                   const char* cmd,
-                                   const CommandContext* ctx) {
+int intra_jobs_from(const Options& opt, const CommandContext* ctx) {
   if (!opt.has("intra-jobs") && ctx != nullptr && ctx->intra_jobs > 0) {
     return ctx->intra_jobs;
   }
   const std::string v = opt.get("intra-jobs", "1");
   if (v == "auto" || v == "true") return 0;
-  const auto n = parse_long(v);
-  if (!n || *n < 0) {
-    err << cmd << ": bad --intra-jobs '" << v
-        << "' (want auto or an integer >= 0)\n";
-    return std::nullopt;
-  }
-  return static_cast<int>(*n);
+  return opt.get_int_at_least("intra-jobs", 1, 0);
 }
 
 void report_cache_line(const char* what, const ResolveCacheStats& s,
@@ -206,9 +198,9 @@ ResolveCache* run_cache(ResolveCacheMode mode, const CommandContext* ctx) {
 
 AppConfig config_from(const Options& opt) {
   AppConfig cfg;
-  cfg.threads = static_cast<int>(opt.get_int("threads", 36));
+  cfg.threads = opt.get_int("threads", 36);
   cfg.size_scale = opt.get_double("scale", 1.0);
-  cfg.iterations = static_cast<int>(opt.get_int("iters", 0));
+  cfg.iterations = opt.get_int("iters", 0);
   cfg.validate();
   return cfg;
 }
@@ -287,9 +279,8 @@ int cmd_run(const Options& opt, std::ostream& out, std::ostream& err,
     }
   }
   const AppConfig cfg = config_from(opt);
-  const auto intra = intra_jobs_from(opt, err, "run", ctx);
-  if (!intra) return 2;
-  sys_cfg.intra_jobs = *intra == 0 ? resolve_auto_intra_jobs(1) : *intra;
+  const int intra = intra_jobs_from(opt, ctx);
+  sys_cfg.intra_jobs = intra == 0 ? resolve_auto_intra_jobs(1) : intra;
   const auto cache_mode = cache_mode_from(opt, err, "run");
   if (!cache_mode) return 2;
   const std::string trace_out = opt.get("trace-out", "");
@@ -297,8 +288,10 @@ int cmd_run(const Options& opt, std::ostream& out, std::ostream& err,
   Telemetry telemetry;
   const bool want_telemetry = !trace_out.empty() || !metrics_out.empty();
   ResolveCache* cache = run_cache(*cache_mode, ctx);
-  const AppResult r = run_app_on(
-      app, sys_cfg, cfg, want_telemetry ? &telemetry : nullptr, cache);
+  AppResult r = run_app_on(app, sys_cfg, cfg,
+                           want_telemetry ? &telemetry : nullptr, cache);
+  // The one output that prints the numerics' checksum.
+  r.checksum = lookup_app(app).host(cfg);
   if (cache != nullptr) report_stream_memo(cache->stats(), err);
 
   if (!trace_out.empty() &&
@@ -398,10 +391,8 @@ int cmd_sweep(const Options& opt, std::ostream& out, std::ostream& err,
   }
   spec.threads = *threads;
   spec.scales = {opt.get_double("scale", 1.0)};
-  spec.jobs = static_cast<int>(opt.get_int_at_least("jobs", 0, 0));
-  const auto intra = intra_jobs_from(opt, err, "sweep", ctx);
-  if (!intra) return 2;
-  spec.intra_jobs = *intra;
+  spec.jobs = opt.get_int_at_least("jobs", 0, 0);
+  spec.intra_jobs = intra_jobs_from(opt, ctx);
   const auto cache_mode = cache_mode_from(opt, err, "sweep");
   if (!cache_mode) return 2;
   spec.resolve_cache = *cache_mode;
@@ -616,7 +607,7 @@ int cmd_profile(const Options& opt, std::ostream& out, std::ostream& err) {
   }
   const std::string app = opt.positional()[0];
   const AppConfig cfg = config_from(opt);
-  const long budget_pct = opt.get_int("budget", 35);
+  const int budget_pct = opt.get_int("budget", 35);
   if (budget_pct <= 0 || budget_pct > 100) {
     err << "profile: --budget must be in (0,100]\n";
     return 2;
@@ -745,8 +736,7 @@ std::optional<RunProfile> profile_of_target(const std::string& target,
   }
   const auto cache_mode = cache_mode_from(opt, err, cmd);
   if (!cache_mode) return std::nullopt;
-  const auto intra = intra_jobs_from(opt, err, cmd, ctx);
-  if (!intra) return std::nullopt;
+  const int intra = intra_jobs_from(opt, ctx);
 
   std::ifstream f(target);
   if (f) {
@@ -754,7 +744,7 @@ std::optional<RunProfile> profile_of_target(const std::string& target,
     buf << f.rdbuf();
     const auto rec = PhaseRecording::load(buf.str());
     SystemConfig sys_cfg = SystemConfig::testbed(*mode);
-    sys_cfg.intra_jobs = *intra == 0 ? resolve_auto_intra_jobs(1) : *intra;
+    sys_cfg.intra_jobs = intra == 0 ? resolve_auto_intra_jobs(1) : intra;
     MemorySystem sys(sys_cfg);
     Telemetry telemetry;
     sys.set_telemetry(&telemetry);
@@ -771,10 +761,10 @@ std::optional<RunProfile> profile_of_target(const std::string& target,
   SweepSpec spec;
   spec.app = target;
   spec.modes = {*mode};
-  spec.threads = {static_cast<int>(opt.get_int("threads", 36))};
+  spec.threads = {opt.get_int("threads", 36)};
   spec.scales = {opt.get_double("scale", 1.0)};
-  spec.jobs = static_cast<int>(opt.get_int_at_least("jobs", 0, 0));
-  spec.intra_jobs = *intra;
+  spec.jobs = opt.get_int_at_least("jobs", 0, 0);
+  spec.intra_jobs = intra;
   spec.telemetry = true;
   spec.resolve_cache = *cache_mode;
   spec.external_cache = run_cache(*cache_mode, ctx);
@@ -872,12 +862,10 @@ int cmd_optimize(const Options& opt, std::ostream& out, std::ostream& err,
     return 2;
   }
   SystemConfig sys_cfg = SystemConfig::testbed(*mode);
-  const auto intra = intra_jobs_from(opt, err, "optimize", ctx);
-  if (!intra) return 2;
   // 0 (auto) is passed through: each replayed MemorySystem leases
   // whatever lanes are free at construction.  The plan never depends on
   // the width, so racing the budget across evaluator workers is safe.
-  sys_cfg.intra_jobs = *intra;
+  sys_cfg.intra_jobs = intra_jobs_from(opt, ctx);
 
   // The target is either a saved `nvmstrace v1` recording or the name of
   // a registered application (recorded here under the same system mode).
@@ -912,7 +900,7 @@ int cmd_optimize(const Options& opt, std::ostream& out, std::ostream& err,
   }
 
   TraceOptimizerOptions oopt;
-  oopt.jobs = static_cast<int>(opt.get_int_at_least("jobs", 0, 0));
+  oopt.jobs = opt.get_int_at_least("jobs", 0, 0);
   oopt.min_gain = opt.get_double("min-gain", 1e-3);
   const auto r = optimize_placement(
       rec, *budget, [&sys_cfg] { return MemorySystem(sys_cfg); }, oopt);

@@ -1,5 +1,6 @@
 #include "cli/options.hpp"
 
+#include <limits>
 #include <utility>
 
 #include "cli/parse.hpp"
@@ -46,7 +47,7 @@ std::string Options::get(const std::string& key,
   return it == kv_.end() ? fallback : it->second;
 }
 
-long Options::get_int(const std::string& key, long fallback) const {
+int Options::get_int(const std::string& key, int fallback) const {
   touched_[key] = true;
   const auto it = kv_.find(key);
   if (it == kv_.end()) return fallback;
@@ -56,12 +57,17 @@ long Options::get_int(const std::string& key, long fallback) const {
   require(v.has_value(),
           "option --" + key + " expects an integer, got '" + it->second +
               "'");
-  return *v;
+  // Every caller stores an int, so a wider value fails here instead of
+  // wrapping in a narrowing cast.
+  require(*v >= std::numeric_limits<int>::min() &&
+              *v <= std::numeric_limits<int>::max(),
+          "option --" + key + " is out of range, got '" + it->second + "'");
+  return static_cast<int>(*v);
 }
 
-long Options::get_int_at_least(const std::string& key, long fallback,
-                               long min) const {
-  const long v = get_int(key, fallback);
+int Options::get_int_at_least(const std::string& key, int fallback,
+                              int min) const {
+  const int v = get_int(key, fallback);
   require(v >= min, "option --" + key + " must be >= " + std::to_string(min) +
                         ", got " + std::to_string(v));
   return v;

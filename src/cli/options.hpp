@@ -28,10 +28,12 @@ class Options {
   bool has(const std::string& key) const { return kv_.count(key) > 0; }
 
   std::string get(const std::string& key, const std::string& fallback) const;
-  long get_int(const std::string& key, long fallback) const;
+  /// Integer option; throws ConfigError naming the option on a malformed
+  /// value or one outside `int`, so no caller narrows it.
+  int get_int(const std::string& key, int fallback) const;
   /// As get_int, but rejects values below `min` (range validation for
   /// count-like options such as --jobs / --threads).
-  long get_int_at_least(const std::string& key, long fallback, long min) const;
+  int get_int_at_least(const std::string& key, int fallback, int min) const;
   double get_double(const std::string& key, double fallback) const;
 
   /// Keys the program never asked about (typo detection).

@@ -64,15 +64,13 @@ AppResult ScalapackApp::emit(AppContext& ctx) const {
   const auto p = ScalapackParams::from(ctx.cfg());
   const std::size_t nv = p.virtual_n;
   const std::uint64_t mat_elems = static_cast<std::uint64_t>(nv) * nv;
-  const std::size_t real_elems = p.real_n * p.real_n;
 
-  auto a = ctx.alloc<double>("mat_a", real_elems, mat_elems);
-  auto b = ctx.alloc<double>("mat_b", real_elems, mat_elems);
-  auto c = ctx.alloc<double>("mat_c", real_elems, mat_elems);
+  auto a = ctx.alloc<double>("mat_a", mat_elems);
+  auto b = ctx.alloc<double>("mat_b", mat_elems);
+  auto c = ctx.alloc<double>("mat_c", mat_elems);
   // Broadcast workspace: one A panel and one B panel.
   const std::uint64_t panel_elems = static_cast<std::uint64_t>(nv) * p.panel_nb;
-  auto work = ctx.alloc<double>("panel_workspace", p.real_n * p.real_nb * 2,
-                                panel_elems * 2);
+  auto work = ctx.alloc<double>("panel_workspace", panel_elems * 2);
 
   const int threads = ctx.cfg().threads;
   const std::uint64_t panel_bytes = panel_elems * sizeof(double);

@@ -117,9 +117,8 @@ AppResult LaghosApp::emit(AppContext& ctx) const {
   const std::uint64_t mesh_elems = 6 * Z;
   const std::uint64_t quad_elems = 8 * Z;
 
-  auto mesh = ctx.alloc<double>("mesh_state", 4 * p.real_zones, mesh_elems);
-  auto quad = ctx.alloc<double>("quadrature_data", 4 * p.real_zones,
-                                quad_elems);
+  auto mesh = ctx.alloc<double>("mesh_state", mesh_elems);
+  auto quad = ctx.alloc<double>("quadrature_data", quad_elems);
 
   const int threads = ctx.cfg().threads;
   const std::uint64_t fp = (mesh_elems + quad_elems) * sizeof(double);

@@ -124,9 +124,8 @@ AppResult XsBenchApp::emit(AppContext& ctx) const {
   // The grid is ~1/4 of the footprint, the xs tables the rest.
   const std::uint64_t grid_bytes = p.grid_footprint / 4;
   const std::uint64_t xs_bytes = p.grid_footprint - grid_bytes;
-  auto grid = ctx.alloc<double>("unionized_grid", p.real_points,
-                                grid_bytes / sizeof(double));
-  auto xs = ctx.alloc<double>("nuclide_xs", p.real_points * kChannels,
+  auto grid = ctx.alloc<double>("unionized_grid", grid_bytes / sizeof(double));
+  auto xs = ctx.alloc<double>("nuclide_xs",
                               std::max<std::uint64_t>(
                                   xs_bytes / sizeof(double),
                                   p.real_points * kChannels));

@@ -268,9 +268,9 @@ AppResult HaccApp::emit(AppContext& ctx) const {
   const auto p = HaccParams::from(ctx.cfg());
   const std::uint64_t nv = p.virtual_particles;
 
-  auto pos = ctx.alloc<double>("particles_pos", 3 * p.real_particles, 3 * nv);
-  auto vel = ctx.alloc<double>("particles_vel", 3 * p.real_particles, 3 * nv);
-  auto acc = ctx.alloc<double>("particles_acc", 3 * p.real_particles, 3 * nv);
+  auto pos = ctx.alloc<double>("particles_pos", 3 * nv);
+  auto vel = ctx.alloc<double>("particles_vel", 3 * nv);
+  auto acc = ctx.alloc<double>("particles_acc", 3 * nv);
 
   // HACC subcycles the short-range force many times per long (memory
   // visible) step; particle tiles live in cache during subcycling, so DRAM

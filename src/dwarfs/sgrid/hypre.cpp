@@ -165,15 +165,14 @@ double HypreApp::host(const AppConfig& cfg) const {
 AppResult HypreApp::emit(AppContext& ctx) const {
   const auto p = HypreParams::from(ctx.cfg());
   const std::uint64_t nv = p.virtual_cells;
-  const std::size_t real_cells = p.real_dim * p.real_dim * p.real_dim;
 
   // Modelled data: stencil matrix (coefficients + indices) and the vector
   // set (u, rhs, residual, temp).
   auto mat = ctx.alloc<double>(
-      "amg_matrix", real_cells,
+      "amg_matrix",
       static_cast<std::uint64_t>(static_cast<double>(nv) *
                                  p.matrix_bytes_per_cell / sizeof(double)));
-  auto vec = ctx.alloc<double>("grid_vectors", 4 * real_cells, 4 * nv);
+  auto vec = ctx.alloc<double>("grid_vectors", 4 * nv);
 
   const int threads = ctx.cfg().threads;
   // Per-sweep traffic at level l (cells / 8^l).

@@ -62,11 +62,10 @@ AppResult SuperLuApp::emit(AppContext& ctx) const {
   // Modelled structures: original matrix + L/U factors (the bulk) and the
   // solve vectors.
   auto factors = ctx.alloc<double>("lu_factors",
-                                   p.real_n * (2 * p.real_band + 1),
                                    std::max<std::uint64_t>(
                                        (F * 7 / 8) / sizeof(double),
                                        p.real_n * (2 * p.real_band + 1)));
-  auto vectors = ctx.alloc<double>("solve_vectors", 2 * p.real_n,
+  auto vectors = ctx.alloc<double>("solve_vectors",
                                    std::max<std::uint64_t>(
                                        (F / 8) / sizeof(double),
                                        2 * p.real_n));

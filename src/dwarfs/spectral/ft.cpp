@@ -151,10 +151,9 @@ AppResult FtApp::emit(AppContext& ctx) const {
   const auto p = FtParams::from(ctx.cfg());
   const std::uint64_t nv = p.virtual_elems;
   const std::uint64_t array_bytes = nv * sizeof(std::complex<double>);
-  const std::size_t real_elems = p.real_dim * p.real_dim * p.real_dim;
 
-  auto u0 = ctx.alloc<std::complex<double>>("u0", real_elems, nv);
-  auto u1 = ctx.alloc<std::complex<double>>("u1", real_elems, nv);
+  auto u0 = ctx.alloc<std::complex<double>>("u0", nv);
+  auto u1 = ctx.alloc<std::complex<double>>("u1", nv);
 
   const int threads = ctx.cfg().threads;
   const std::uint64_t wr_bytes = static_cast<std::uint64_t>(

@@ -46,8 +46,7 @@ double GupsApp::host(const AppConfig& cfg) const {
 
 AppResult GupsApp::emit(AppContext& ctx) const {
   const auto p = GupsParams::from(ctx.cfg());
-  auto table = ctx.alloc<std::uint64_t>("gups_table", p.real_words,
-                                        p.virtual_words);
+  auto table = ctx.alloc<std::uint64_t>("gups_table", p.virtual_words);
 
   // Each update is a random 8B read-modify-write: one 64B line in, one
   // 64B line out, at sub-media granularity.

@@ -42,9 +42,9 @@ AppResult StreamApp::emit(AppContext& ctx) const {
   const auto p = StreamParams::from(ctx.cfg());
   const std::uint64_t bytes = p.virtual_elems * sizeof(double);
 
-  auto a = ctx.alloc<double>("stream_a", p.real_elems, p.virtual_elems);
-  auto b = ctx.alloc<double>("stream_b", p.real_elems, p.virtual_elems);
-  auto c = ctx.alloc<double>("stream_c", p.real_elems, p.virtual_elems);
+  auto a = ctx.alloc<double>("stream_a", p.virtual_elems);
+  auto b = ctx.alloc<double>("stream_b", p.virtual_elems);
+  auto c = ctx.alloc<double>("stream_c", p.virtual_elems);
 
   const int threads = ctx.cfg().threads;
   double triad_time = 0.0;

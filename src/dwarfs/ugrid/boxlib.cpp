@@ -105,11 +105,9 @@ AppResult BoxLibApp::emit(AppContext& ctx) const {
   const std::uint64_t l0_bytes = l0_cells * cell_bytes;
   const std::uint64_t l1_bytes = l1_cells * cell_bytes;
 
-  auto level0 = ctx.alloc<double>("amr_level0",
-                                  p.real_dim * p.real_dim,
-                                  l0_cells * p.ncomp);
+  auto level0 = ctx.alloc<double>("amr_level0", l0_cells * p.ncomp);
   auto level1 = ctx.alloc<double>(
-      "amr_level1", p.real_dim * p.real_dim,
+      "amr_level1",
       std::max<std::uint64_t>(l1_cells * p.ncomp, p.real_dim * p.real_dim));
 
   const int threads = ctx.cfg().threads;

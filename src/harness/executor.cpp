@@ -1,7 +1,6 @@
 #include "harness/executor.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <exception>
@@ -18,14 +17,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
-}
-
-/// App::host reads only these fields of a task, so two tasks that agree
-/// on them compute the same checksum (appfw/app.hpp).
-bool same_host_input(const ExperimentConfig& a, const ExperimentConfig& b) {
-  return a.app == b.app && a.cfg.seed == b.cfg.seed &&
-         a.cfg.iterations == b.cfg.iterations &&
-         a.cfg.size_scale == b.cfg.size_scale;
 }
 
 }  // namespace
@@ -108,21 +99,6 @@ std::vector<ExperimentOutcome> run_experiments(
   // unknown app fails fast here rather than from a worker thread.
   for (const auto& t : tasks) (void)lookup_app(t.app);
 
-  // Map each task to the first task of its host-input group; the group's
-  // claim flag and checksum live at that task's index.
-  std::vector<std::size_t> group(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    group[i] = i;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (group[j] == j && same_host_input(tasks[j], tasks[i])) {
-        group[i] = j;
-        break;
-      }
-    }
-  }
-  std::vector<std::atomic<bool>> host_claimed(tasks.size());
-  std::vector<double> host_checksum(tasks.size(), 0.0);
-
   std::vector<ExperimentOutcome> outcomes(tasks.size());
   ExecutorStats local;
   local.jobs = jobs;
@@ -145,15 +121,8 @@ std::vector<ExperimentOutcome> run_experiments(
       SystemConfig sys = tasks[i].sys;
       if (sys.intra_jobs == 0) sys.intra_jobs = auto_intra;
       outcomes[i].result =
-          emit_app_on(tasks[i].app, sys, tasks[i].cfg,
-                      outcomes[i].telemetry.get(), tasks[i].resolve_cache);
-      // The traffic fit, so this task's row needs the checksum: the first
-      // task of the group to get here runs the host step.
-      const std::size_t g = group[i];
-      if (!host_claimed[g].exchange(true)) {
-        host_checksum[g] = lookup_app(tasks[i].app).host(tasks[i].cfg);
-        ts.host_step = true;
-      }
+          run_app_on(tasks[i].app, sys, tasks[i].cfg,
+                     outcomes[i].telemetry.get(), tasks[i].resolve_cache);
     } catch (const CapacityError& e) {
       outcomes[i].skipped = true;
       outcomes[i].skip_reason = e.what();
@@ -185,11 +154,6 @@ std::vector<ExperimentOutcome> run_experiments(
   // scheduling order.
   for (auto& e : errors) {
     if (e) std::rethrow_exception(e);
-  }
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (!outcomes[i].skipped) {
-      outcomes[i].result.checksum = host_checksum[group[i]];
-    }
   }
   if (stats != nullptr) *stats = std::move(local);
   return outcomes;

@@ -12,14 +12,8 @@
 //     derive_task_seed(base, i), which is a pure function of (base seed,
 //     task index) — never of shared RNG state — so jobs=1 and jobs=N
 //     produce identical bytes;
-//   * tasks with the same host input — app, cfg.seed, cfg.iterations and
-//     cfg.size_scale, all that App::host reads — share one host step.
-//     Every task emits its traffic (App::emit); the first task of a group
-//     to complete it then runs the group's host step inline, so a
-//     capacity-skipped task never runs numerics and no task waits on
-//     another.  After the batch joins, every completed outcome gets its
-//     group's checksum, so outcome[i] equals run_app_on(tasks[i]) bit for
-//     bit;
+//   * every task is traffic only: outcome[i] is run_app_on(tasks[i]), so
+//     no task runs the app's numerics (App::host) and every checksum is 0;
 //   * a task that throws CapacityError is recorded as skipped (the
 //     oversized-configuration semantics of run_sweep); any other
 //     exception aborts the batch after all tasks finished, rethrowing
@@ -70,7 +64,6 @@ struct TaskStats {
   double queue_wait_s = 0.0; ///< submission -> execution start
   double wall_s = 0.0;       ///< execution start -> finish
   bool skipped = false;      ///< CapacityError: configuration did not fit
-  bool host_step = false;    ///< ran its host-input group's App::host
 };
 
 /// Batch-level observability: per-task records plus derived aggregates.

@@ -84,15 +84,6 @@ AppResult run_app(const std::string& name, Mode mode, const AppConfig& cfg) {
 AppResult run_app_on(const std::string& name, SystemConfig sys_cfg,
                      const AppConfig& cfg, Telemetry* telemetry,
                      ResolveCache* resolve_cache) {
-  AppResult r =
-      emit_app_on(name, std::move(sys_cfg), cfg, telemetry, resolve_cache);
-  r.checksum = lookup_app(name).host(cfg);
-  return r;
-}
-
-AppResult emit_app_on(const std::string& name, SystemConfig sys_cfg,
-                      const AppConfig& cfg, Telemetry* telemetry,
-                      ResolveCache* resolve_cache) {
   MemorySystem sys(std::move(sys_cfg));
   if (telemetry != nullptr) sys.set_telemetry(telemetry);
   if (resolve_cache != nullptr) sys.set_resolve_cache(resolve_cache);

@@ -2,8 +2,10 @@
 //
 // The registry exposes the paper's eight applications by name, in the
 // presentation order of Table III.  run_app() builds a fresh scaled
-// testbed MemorySystem for the requested mode and executes the app —
-// the core primitive every bench binary is built on.
+// testbed MemorySystem for the requested mode and emits the app's traffic
+// on it — the core primitive every bench binary is built on.  It runs no
+// numerics: only `nvmsim run` prints a checksum, and it asks App::host
+// for it directly.
 //
 // Thread safety: the registry is const-after-init.  The app and name
 // tables are function-local statics (thread-safe initialization) and are
@@ -41,7 +43,8 @@ void init_registry();
 /// Look up an app by name; throws ConfigError for unknown names.
 const App& lookup_app(const std::string& name);
 
-/// Build the scaled testbed and run `name` on it.
+/// Build the scaled testbed and emit `name`'s traffic on it (App::emit):
+/// the result's checksum is 0.
 AppResult run_app(const std::string& name, Mode mode, const AppConfig& cfg);
 
 /// As run_app, but with a caller-customized system configuration (the
@@ -53,12 +56,5 @@ AppResult run_app(const std::string& name, Mode mode, const AppConfig& cfg);
 AppResult run_app_on(const std::string& name, SystemConfig sys_cfg,
                      const AppConfig& cfg, Telemetry* telemetry = nullptr,
                      ResolveCache* resolve_cache = nullptr);
-
-/// As run_app_on, but traffic only (App::emit): the host step is skipped
-/// and the result's checksum is 0.  Every other field, and everything the
-/// run leaves in `telemetry` and `resolve_cache`, equals run_app_on's.
-AppResult emit_app_on(const std::string& name, SystemConfig sys_cfg,
-                      const AppConfig& cfg, Telemetry* telemetry = nullptr,
-                      ResolveCache* resolve_cache = nullptr);
 
 }  // namespace nvms

@@ -44,8 +44,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
 
   // Build the grid in mode-major order; the executor returns outcomes in
   // this same order regardless of worker interleaving.  Every cell runs
-  // the one input problem spec.seed names, so the executor runs the host
-  // step once per scale and hands its checksum to every row of the scale.
+  // the one input problem spec.seed names.
   std::vector<ExperimentConfig> grid;
   grid.reserve(cells);
   for (const Mode mode : spec.modes) {

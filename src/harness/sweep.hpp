@@ -4,14 +4,14 @@
 //
 // A sweep runs one input problem — the one spec.seed names — in every
 // cell, as the paper's Fig. 2 / Table III run each app's input across
-// modes and concurrencies.  Its numerics therefore run once per scale:
-// the cells of a scale share one host step (harness/executor.hpp), and
-// every row gets that step's checksum.
+// modes and concurrencies.  Its rows report runtime, FoM, bandwidth and
+// IPC, none of which reads the app's numerics, so every cell is traffic
+// only (run_app_on) and no cell runs the host step: rows carry checksum 0.
 //
 // Sweeps run on the parallel executor (harness/executor.hpp).  Results
 // are deterministic in the worker count: rows keep the mode-major grid
-// order and no row depends on which cell ran the host step, so `jobs=1`
-// and `jobs=N` emit byte-identical CSVs.
+// order and no row depends on another, so `jobs=1` and `jobs=N` emit
+// byte-identical CSVs.
 #pragma once
 
 #include <string>
@@ -68,7 +68,7 @@ struct SweepRow {
   int threads = 0;
   double scale = 1.0;
   /// Bit-identical to run_app_on at this row's mode, threads and scale
-  /// with seed = spec.seed, checksum included.
+  /// with seed = spec.seed (traffic only: checksum 0).
   AppResult result;
 };
 

@@ -1,16 +1,14 @@
 // Typed, RAII-managed simulation buffers.
 //
-// A Buffer<T> owns real host storage (so kernels compute verifiable
-// numerics) and registers a corresponding virtual allocation with the
-// MemorySystem (so the simulator knows its size, address, and placement).
-// Host storage and simulated placement are decoupled: moving a buffer to
-// simulated DRAM/NVM never copies host data.
+// A Buffer<T> is a registration handle: it registers a virtual allocation
+// of `count` elements of T with the MemorySystem (so the simulator knows
+// its size, address and placement) and releases it on destruction.  It
+// holds no host storage — traffic emitters name buffers by id, and the
+// numerics (App::host) keep their own arrays.
 #pragma once
 
-#include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "memsim/memory_system.hpp"
 #include "simcore/error.hpp"
@@ -22,22 +20,13 @@ class Buffer {
  public:
   Buffer() = default;
 
+  /// Register `count` elements of T — the size of the *modelled* data
+  /// structure — under `name`.
   Buffer(MemorySystem& sys, std::string name, std::size_t count,
          Placement placement = Placement::kAuto)
-      : Buffer(sys, std::move(name), count, count, placement) {}
-
-  /// Self-similar scaling: host storage holds `count` elements (the
-  /// representative compute problem), while the simulator registers
-  /// `virtual_count` elements — the size of the *modelled* data structure.
-  /// Kernels emit traffic for the virtual size; numerics stay testable.
-  Buffer(MemorySystem& sys, std::string name, std::size_t count,
-         std::size_t virtual_count, Placement placement = Placement::kAuto)
-      : sys_(&sys), data_(count) {
+      : sys_(&sys) {
     require(count > 0, "buffer '" + name + "' must have positive size");
-    require(virtual_count >= count,
-            "buffer '" + name + "': virtual size below host size");
-    id_ = sys.register_buffer(std::move(name), virtual_count * sizeof(T),
-                              placement);
+    id_ = sys.register_buffer(std::move(name), count * sizeof(T), placement);
   }
 
   Buffer(const Buffer&) = delete;
@@ -54,38 +43,20 @@ class Buffer {
 
   ~Buffer() { reset(); }
 
-  /// Release the simulated allocation and host storage.
+  /// Release the simulated allocation.
   void reset() {
     if (sys_ != nullptr && id_ != kInvalidBuffer) {
       sys_->release_buffer(id_);
     }
     sys_ = nullptr;
     id_ = kInvalidBuffer;
-    data_.clear();
-    data_.shrink_to_fit();
   }
 
   bool valid() const { return sys_ != nullptr && id_ != kInvalidBuffer; }
 
   BufferId id() const { return id_; }
-  /// Host (compute) element count.
-  std::size_t size() const { return data_.size(); }
   /// Simulated (virtual) footprint in bytes.
-  std::uint64_t bytes() const {
-    return valid() ? sys_->buffer(id_).bytes : data_.size() * sizeof(T);
-  }
-
-  T* data() { return data_.data(); }
-  const T* data() const { return data_.data(); }
-  T& operator[](std::size_t i) { return data_[i]; }
-  const T& operator[](std::size_t i) const { return data_[i]; }
-  std::span<T> span() { return {data_.data(), data_.size()}; }
-  std::span<const T> span() const { return {data_.data(), data_.size()}; }
-
-  auto begin() { return data_.begin(); }
-  auto end() { return data_.end(); }
-  auto begin() const { return data_.begin(); }
-  auto end() const { return data_.end(); }
+  std::uint64_t bytes() const { return valid() ? sys_->buffer(id_).bytes : 0; }
 
   void place(Placement p) {
     NVMS_ASSERT(valid(), "placement on invalid buffer");
@@ -97,12 +68,10 @@ class Buffer {
   void swap(Buffer& other) noexcept {
     std::swap(sys_, other.sys_);
     std::swap(id_, other.id_);
-    data_.swap(other.data_);
   }
 
   MemorySystem* sys_ = nullptr;
   BufferId id_ = kInvalidBuffer;
-  std::vector<T> data_;
 };
 
 }  // namespace nvms

@@ -611,23 +611,20 @@ int serve_main(int argc, char** argv, std::ostream& out, std::ostream& err) {
   try {
     const Options opt = Options::parse(argc, argv, 2);
     cfg.socket_path = opt.get("socket", "");
-    cfg.port = opt.has("port")
-                   ? static_cast<int>(opt.get_int_at_least("port", 0, 0))
-                   : -1;
+    cfg.port = opt.has("port") ? opt.get_int_at_least("port", 0, 0) : -1;
     cfg.host = opt.get("host", "127.0.0.1");
     const unsigned hw = std::thread::hardware_concurrency();
-    cfg.workers = static_cast<int>(
-        opt.get_int_at_least("workers", hw > 2 ? hw : 2, 1));
+    cfg.workers =
+        opt.get_int_at_least("workers", hw > 2 ? static_cast<int>(hw) : 2, 1);
     cfg.queue_capacity = static_cast<std::size_t>(
         opt.get_int_at_least("queue", 256, 1));
     cfg.client_budget = static_cast<std::uint64_t>(
         opt.get_int_at_least("client-budget", 0, 0));
     cfg.max_line_bytes = static_cast<std::size_t>(
         opt.get_int_at_least("max-line-bytes", 1 << 20, 64));
-    cfg.idle_timeout_ms = static_cast<int>(
-        opt.get_int_at_least("idle-timeout-ms", 30000, 100));
-    cfg.write_timeout_ms = static_cast<int>(
-        opt.get_int_at_least("write-timeout-ms", 10000, 100));
+    cfg.idle_timeout_ms = opt.get_int_at_least("idle-timeout-ms", 30000, 100);
+    cfg.write_timeout_ms =
+        opt.get_int_at_least("write-timeout-ms", 10000, 100);
     for (const auto& key : opt.unused()) {
       err << "warning: unused option --" << key << "\n";
     }
@@ -659,7 +656,7 @@ namespace {
 /// Connect per the client options; -1 + message on failure.
 int client_connect(const Options& opt, std::ostream& err) {
   const std::string socket_path = opt.get("socket", "");
-  const long port = opt.get_int("port", -1);
+  const int port = opt.get_int("port", -1);
   if (!socket_path.empty()) {
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;

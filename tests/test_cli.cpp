@@ -429,6 +429,27 @@ TEST(Cli, MalformedInputsAreUsageErrorsAcrossAllCommands) {
       {{"run", "hacc", "--threads", "10xyz"}, "--threads"},
       {{"run", "hacc", "--scale", "1.5q"}, "--scale"},
       {{"run", "hacc", "--iters", "ten"}, "--iters"},
+      // Values outside int: each used to wrap in a narrowing cast (12
+      // threads, the app's default iterations, 1 iteration) and run.
+      {{"run", "stream", "--threads", "4294967308", "--json"},
+       "option --threads is out of range"},
+      {{"run", "hacc", "--iters", "4294967296"},
+       "option --iters is out of range"},
+      {{"run", "hacc", "--iters", "4294967297"},
+       "option --iters is out of range"},
+      {{"run", "hacc", "--intra-jobs", "4294967297"},
+       "option --intra-jobs is out of range"},
+      {{"sweep", "hacc", "--jobs", "4294967297"},
+       "option --jobs is out of range"},
+      {{"sweep", "hacc", "--threads", "4294967308"}, "out of range"},
+      {{"explain", "ft", "--threads", "4294967308"},
+       "option --threads is out of range"},
+      {{"diff", "ft", "ft", "--jobs", "4294967297"},
+       "option --jobs is out of range"},
+      {{"inspect", "hacc", "--iters", "-4294967296"},
+       "option --iters is out of range"},
+      {{"optimize", "ft", "--scale", "0.25", "--jobs", "4294967297"},
+       "option --jobs is out of range"},
       {{"run", "hacc", "--mode", "bogus"}, "unknown mode"},
       {{"run", "hacc", "--numa", "diagonal"}, "--numa"},
       {{"inspect", "hacc", "--format", "yaml"}, "--format"},

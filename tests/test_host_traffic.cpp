@@ -1,10 +1,10 @@
 // The two halves of every registered app are independent: the host step
 // (App::host) is a pure function of (seed, iterations, size_scale) that no
 // thread count, placement plan or step hook reaches, and the traffic
-// emitter (App::emit) submits phases that no numeric result reaches.
-// run_experiments leans on both to run a sweep's numerics once per scale
-// (harness/executor.hpp).  run_app_on's checksum is host(cfg) by
-// construction; AllApps.OutputsPinnedBitForBit pins it in every mode.
+// emitter (App::emit) submits phases that no numeric result reaches.  So
+// every output but `nvmsim run`'s checksum comes from the traffic alone,
+// and sweeps and run_app_on skip the numerics (harness/registry.hpp).
+// AllApps.OutputsPinnedBitForBit pins each app's host(cfg).
 #include <gtest/gtest.h>
 
 #include <bit>

@@ -12,11 +12,15 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "cli/driver.hpp"
+#include "cli/options.hpp"
 #include "harness/registry.hpp"
 #include "mem/space.hpp"
 #include "placement/write_aware.hpp"
 #include "prof/data_profile.hpp"
+#include "serve/jsonv.hpp"
 #include "simcore/units.hpp"
 
 namespace nvms {
@@ -26,6 +30,24 @@ AppConfig base_cfg(int threads = 36) {
   AppConfig cfg;
   cfg.threads = threads;
   return cfg;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The checksum `nvmsim run <app> --mode <mode> --json` prints, as bits —
+/// the one output that runs and prints the numerics (App::host).
+std::uint64_t printed_checksum(const std::string& app, Mode mode) {
+  const Options opt = Options::from_map(
+      {{"mode", to_string(mode)}, {"json", "true"}}, {app});
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(run_command("run", opt, out, err), 0) << app << ": " << err.str();
+  const JsonParseResult doc = json_parse(out.str());
+  EXPECT_TRUE(doc.value.has_value()) << app << ": " << doc.error;
+  const JsonValue* checksum =
+      doc.value ? doc.value->find("checksum") : nullptr;
+  EXPECT_NE(checksum, nullptr) << app;
+  return checksum != nullptr ? bits(checksum->as_number()) : 0;
 }
 
 double slowdown(const std::string& app, int threads = 36) {
@@ -52,19 +74,19 @@ TEST_P(AllApps, RunsOnEveryMemoryMode) {
 }
 
 TEST_P(AllApps, ChecksumIndependentOfMemoryMode) {
-  // The numerics must not depend on the simulated memory organization.
-  const auto dram = run_app(GetParam(), Mode::kDramOnly, base_cfg());
-  const auto cached = run_app(GetParam(), Mode::kCachedNvm, base_cfg());
-  const auto uncached = run_app(GetParam(), Mode::kUncachedNvm, base_cfg());
-  EXPECT_DOUBLE_EQ(dram.checksum, cached.checksum);
-  EXPECT_DOUBLE_EQ(dram.checksum, uncached.checksum);
+  // The numerics must not depend on the simulated memory organization:
+  // `nvmsim run` prints the same checksum in every mode.
+  const std::uint64_t dram = printed_checksum(GetParam(), Mode::kDramOnly);
+  EXPECT_EQ(printed_checksum(GetParam(), Mode::kCachedNvm), dram);
+  EXPECT_EQ(printed_checksum(GetParam(), Mode::kUncachedNvm), dram);
 }
 
 TEST_P(AllApps, DeterministicAcrossRuns) {
   const auto a = run_app(GetParam(), Mode::kUncachedNvm, base_cfg());
   const auto b = run_app(GetParam(), Mode::kUncachedNvm, base_cfg());
   EXPECT_DOUBLE_EQ(a.runtime, b.runtime);
-  EXPECT_DOUBLE_EQ(a.checksum, b.checksum);
+  const App& app = lookup_app(GetParam());
+  EXPECT_EQ(bits(app.host(base_cfg())), bits(app.host(base_cfg())));
 }
 
 TEST_P(AllApps, FootprintWithinPaperRange) {
@@ -99,10 +121,11 @@ TEST_P(AllApps, ScalingDownTheProblemShrinksFootprint) {
   EXPECT_LT(r_small.footprint, r_full.footprint);
 }
 
-// Every app's checksum, runtime and FoM at base_cfg(), bit for bit, in each
-// memory mode.  The host kernels promise a fixed floating-point operation
-// order (DESIGN §5), so a kernel rewrite that reorders or changes a single
-// operation fails here even when the result still looks plausible.
+// Every app's host checksum (App::host), and its runtime and FoM in each
+// memory mode, at base_cfg(), bit for bit.  The host kernels promise a
+// fixed floating-point operation order (DESIGN §5), so a kernel rewrite
+// that reorders or changes a single operation fails here even when the
+// result still looks plausible.
 struct PinnedOutputs {
   double checksum;
   double runtime;
@@ -171,32 +194,43 @@ std::string hex(double v) {
 }
 
 TEST_P(AllApps, OutputsPinnedBitForBit) {
+  const double checksum = lookup_app(GetParam()).host(base_cfg());
   for (Mode mode : kAllModes) {
     const std::string key = GetParam() + "/" + to_string(mode);
     const auto r = run_app(GetParam(), mode, base_cfg());
     const auto it = pinned_outputs().find(key);
     if (it == pinned_outputs().end()) {
       ADD_FAILURE() << "no pin for " << key << "; observed {"
-                    << hex(r.checksum) << ", " << hex(r.runtime) << ", "
+                    << hex(checksum) << ", " << hex(r.runtime) << ", "
                     << hex(r.fom) << "}";
       continue;
     }
     const PinnedOutputs& pin = it->second;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.checksum),
-              std::bit_cast<std::uint64_t>(pin.checksum))
-        << key << " checksum " << hex(r.checksum) << " != "
+    EXPECT_EQ(bits(checksum), bits(pin.checksum))
+        << key << " checksum " << hex(checksum) << " != "
         << hex(pin.checksum);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.runtime),
-              std::bit_cast<std::uint64_t>(pin.runtime))
+    EXPECT_EQ(bits(r.runtime), bits(pin.runtime))
         << key << " runtime " << hex(r.runtime) << " != " << hex(pin.runtime);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.fom),
-              std::bit_cast<std::uint64_t>(pin.fom))
+    EXPECT_EQ(bits(r.fom), bits(pin.fom))
         << key << " fom " << hex(r.fom) << " != " << hex(pin.fom);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(EveryDwarf, AllApps,
                          ::testing::ValuesIn(app_names()));
+
+// Only `nvmsim run` runs the numerics; every library run is traffic only.
+// Its printed checksum bit-equals the host step of every registered app.
+TEST(RunJson, ChecksumIsTheHostStepOfEveryApp) {
+  std::vector<std::string> apps = app_names();
+  apps.insert(apps.end(), extra_app_names().begin(), extra_app_names().end());
+  ASSERT_EQ(apps.size(), 10u);
+  for (const std::string& app : apps) {
+    EXPECT_EQ(printed_checksum(app, Mode::kUncachedNvm),
+              bits(lookup_app(app).host(AppConfig{})))
+        << app;
+  }
+}
 
 // ---------- Table III: three tiers of sensitivity --------------------------
 

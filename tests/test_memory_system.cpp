@@ -196,12 +196,8 @@ TEST(TypedBuffer, RaiiAndAccess) {
   MemorySystem sys(tiny(Mode::kDramOnly));
   {
     Buffer<double> buf(sys, "vec", 1024);
-    EXPECT_EQ(buf.size(), 1024u);
     EXPECT_EQ(buf.bytes(), 8192u);
-    buf[5] = 2.5;
-    EXPECT_DOUBLE_EQ(buf[5], 2.5);
     EXPECT_EQ(sys.footprint(), 8192u);
-    EXPECT_EQ(buf.span().size(), 1024u);
   }
   EXPECT_EQ(sys.footprint(), 0u);
 }

@@ -470,6 +470,15 @@ TEST(ServeDaemon, MalformedRequestsGetStructuredErrorsNeverACrash) {
   EXPECT_NE(sweep.find("err")->as_string().find("not an integer"),
             std::string::npos);
 
+  // An integer option outside int gets the CLI's diagnostic too.
+  const JsonValue run = c.roundtrip(
+      R"({"cmd":"run","target":"stream","args":{"threads":"4294967308"}})");
+  ASSERT_TRUE(run.find("ok")->as_bool());
+  EXPECT_DOUBLE_EQ(run.find("exit")->as_number(), 2.0);
+  EXPECT_NE(run.find("err")->as_string().find(
+                "option --threads is out of range"),
+            std::string::npos);
+
   // Protocol-level garbage -> ok:false envelopes with machine codes.
   const JsonValue bad = c.roundtrip("this is not json");
   EXPECT_FALSE(bad.find("ok")->as_bool());
